@@ -55,13 +55,15 @@ cover:
 	$(GO) test -coverprofile=COVER.out ./...
 	$(GO) tool cover -func=COVER.out | tail -1
 
-# Short open-ended fuzz pass over the adversarial-input surfaces.
+# Short open-ended fuzz pass over the adversarial-input surfaces, plus
+# the table-driven DTW scan against its per-candidate oracle.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzSanitize -fuzztime=10s ./internal/csi
+	$(GO) test -fuzz=^FuzzSanitize$$ -fuzztime=10s ./internal/csi
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wifi
 	$(GO) test -fuzz=FuzzScenarioConfig -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal
 	$(GO) test -fuzz=FuzzClusterDecode -fuzztime=10s ./internal/cluster
+	$(GO) test -fuzz=FuzzSubsequenceEquivalence -fuzztime=10s ./internal/dtw
 
 # Observability overhead benchmark: serving throughput with obs off vs
 # metrics vs metrics+trace (DESIGN.md §9's overhead budget, measured).

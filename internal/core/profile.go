@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"vihot/internal/dsp"
 	"vihot/internal/geom"
@@ -207,26 +206,40 @@ func (p *Profile) NearestPositions(phi0r float64, k int) ([]int, error) {
 	if len(p.Positions) == 0 {
 		return nil, ErrEmptyProfile
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(p.Positions) {
-		k = len(p.Positions)
-	}
-	type cand struct {
-		idx  int
-		dist float64
-	}
-	cands := make([]cand, len(p.Positions))
-	for i, pos := range p.Positions {
-		cands[i] = cand{i, math.Abs(geom.PhaseDiff(pos.Fingerprint, phi0r))}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
+	k = max(1, min(k, len(p.Positions)))
+	ranked := p.rankPositions(nil, phi0r)
 	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].idx
+	for i := range out {
+		out[i] = ranked[i].idx
 	}
 	return out, nil
+}
+
+// rankedPosition is one entry of an Eq. (4) ranking: a position index
+// and its circular fingerprint distance to φ⁰r.
+type rankedPosition struct {
+	idx  int
+	dist float64
+}
+
+// rankPositions ranks every position by circular fingerprint distance
+// to φ⁰r, reusing dst's storage, so the tracker can rank on every
+// stable sample without allocating. The stable insertion sort keeps
+// equal distances in index order. That is also the order sort.Slice
+// produced here before: it insertion-sorts slices of up to 12
+// elements, and profiles hold 10 positions by default.
+func (p *Profile) rankPositions(dst []rankedPosition, phi0r float64) []rankedPosition {
+	dst = dst[:0]
+	for i, pos := range p.Positions {
+		d := math.Abs(geom.PhaseDiff(pos.Fingerprint, phi0r))
+		j := len(dst)
+		dst = append(dst, rankedPosition{})
+		for ; j > 0 && d < dst[j-1].dist; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = rankedPosition{i, d}
+	}
+	return dst
 }
 
 // Merge returns a NEW profile holding p's positions followed by

@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"vihot/internal/dsp"
+	"vihot/internal/geom"
+	"vihot/internal/stats"
 )
 
 // synthRecording builds a sweep recording whose phase is a known
@@ -118,6 +121,81 @@ func TestNearestPositionsShortlist(t *testing.T) {
 	cands, _ = p.NearestPositions(0, 0)
 	if len(cands) != 1 {
 		t.Errorf("k=0 shortlist = %v", cands)
+	}
+}
+
+// fingerprintProfile is a bare profile holding only fingerprints —
+// all the Eq. (4) ranking reads.
+func fingerprintProfile(fps ...float64) *Profile {
+	p := &Profile{MatchRateHz: 100}
+	for _, fp := range fps {
+		p.Positions = append(p.Positions, PositionProfile{Fingerprint: fp})
+	}
+	return p
+}
+
+// TestNearestPositionsTieOrder pins the ranking's tie order: equal
+// fingerprint distances keep position-index order.
+func TestNearestPositionsTieOrder(t *testing.T) {
+	p := fingerprintProfile(0.3, -0.1, 0.3, 0.1, -0.1, 0.3)
+	got, err := p.NearestPositions(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 3, 4, 0, 2, 5}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ranking = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestNearestPositionsMatchesSortSlice: for profiles of up to 12
+// positions — sort.Slice's insertion-sort cutoff — the ranking equals
+// the sort.Slice ranking it replaced, ties included.
+func TestNearestPositionsMatchesSortSlice(t *testing.T) {
+	rng := stats.NewRNG(41)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + trial%12
+		fps := make([]float64, n)
+		for i := range fps {
+			// Quantized so that ties are common.
+			fps[i] = math.Round(rng.Uniform(-math.Pi, math.Pi)*2) / 2
+		}
+		phi0r := math.Round(rng.Uniform(-math.Pi, math.Pi)*2) / 2
+		p := fingerprintProfile(fps...)
+		type cand struct {
+			idx  int
+			dist float64
+		}
+		ref := make([]cand, n)
+		for i, fp := range fps {
+			ref[i] = cand{i, math.Abs(geom.PhaseDiff(fp, phi0r))}
+		}
+		sort.Slice(ref, func(a, b int) bool { return ref[a].dist < ref[b].dist })
+		got, err := p.NearestPositions(phi0r, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			if got[i] != ref[i].idx {
+				t.Fatalf("fps=%v phi0r=%v: ranking %v, sort.Slice order %v", fps, phi0r, got, ref)
+			}
+		}
+	}
+}
+
+// TestRankPositionsAllocationFree: the tracker ranks positions on
+// every stable sample, so ranking into reused scratch must not
+// allocate.
+func TestRankPositionsAllocationFree(t *testing.T) {
+	p := synthProfile(t, 10)
+	scratch := p.rankPositions(nil, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		scratch = p.rankPositions(scratch, 0.2)
+	})
+	if allocs != 0 {
+		t.Errorf("rankPositions allocates %v times per run, want 0", allocs)
 	}
 }
 

@@ -151,8 +151,9 @@ type Tracker struct {
 
 	posIdx    int
 	posLocked bool
-	shortlist []int // pending Eq. (4) candidates to disambiguate
-	badCount  int   // consecutive high-distance estimates
+	shortlist []int            // pending Eq. (4) candidates to disambiguate
+	ranked    []rankedPosition // Eq. (4) ranking scratch
+	badCount  int              // consecutive high-distance estimates
 
 	last        Estimate
 	hasLast     bool
@@ -339,17 +340,19 @@ func (tk *Tracker) Push(t, phi float64) (Estimate, bool) {
 	isStable := tk.stable.Push(t, phi)
 	if isStable {
 		phi0r := geom.WrapRad(tk.stable.Mean())
-		if cands, err := tk.profile.NearestPositions(phi0r, tk.cfg.PositionCandidates); err == nil {
-			fprDist := math.Abs(geom.PhaseDiff(tk.profile.Positions[cands[0]].Fingerprint, phi0r))
-			trustworthy := !tk.posLocked ||
-				(fprDist < 0.15 && (!tk.hasLast || math.Abs(tk.last.Yaw) < 25))
-			if trustworthy {
-				// Adopt the Eq. (4) nearest fingerprint immediately;
-				// the shortlist lets the matcher refine the choice
-				// once the head starts moving again.
-				tk.posIdx = cands[0]
-				tk.posLocked = true
-				tk.shortlist = cands
+		tk.ranked = tk.profile.rankPositions(tk.ranked, phi0r)
+		nearest := tk.ranked[0]
+		trustworthy := !tk.posLocked ||
+			(nearest.dist < 0.15 && (!tk.hasLast || math.Abs(tk.last.Yaw) < 25))
+		if trustworthy {
+			// Adopt the Eq. (4) nearest fingerprint immediately;
+			// the shortlist lets the matcher refine the choice
+			// once the head starts moving again.
+			tk.posIdx = nearest.idx
+			tk.posLocked = true
+			tk.shortlist = tk.shortlist[:0]
+			for _, r := range tk.ranked[:min(tk.cfg.PositionCandidates, len(tk.ranked))] {
+				tk.shortlist = append(tk.shortlist, r.idx)
 			}
 		}
 	}
@@ -456,7 +459,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 		tk.nextRescanT = t + tk.cfg.RescanEveryS
 	case len(tk.shortlist) > 0 && qhi-qlo >= motionRange:
 		candidates = append(candidates, tk.shortlist...)
-		tk.shortlist = nil
+		tk.shortlist = tk.shortlist[:0]
 	default:
 		candidates = append(candidates, tk.posIdx)
 	}
@@ -467,7 +470,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 		bestPos    = -1
 		anyBest    dtw.Match
 		anyBestPos = -1
-		curDist    = math.Inf(1) // this scan's distance for the held position
+		held       = dtw.Match{Dist: math.Inf(1)} // this scan's match for the held position
 	)
 	for _, pos := range candidates {
 		// Recentre the query with this position's mean phase so query
@@ -508,7 +511,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 			}
 		}
 		if pos == tk.posIdx {
-			curDist = match.Dist
+			held = match
 		}
 		if consistent && (bestPos < 0 || match.Dist < best.Dist) {
 			best, bestPos = match, pos
@@ -527,26 +530,11 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 	// re-scan therefore requires a clear margin over the held
 	// position, not a photo finish.
 	const switchMargin = 0.7
-	if rescan && bestPos != tk.posIdx && !math.IsInf(curDist, 1) &&
-		best.Dist > switchMargin*curDist {
-		// Not convincingly better: keep the current lock. Reuse the
-		// current position's match by re-running the single-candidate
-		// path cheaply next time; for this estimate, fall back to the
-		// held position's own match when it was computed.
-		bestPos = tk.posIdx
-		// Recompute this position's match fields from the scan: the
-		// candidates loop recorded only the distance, so rerun once.
-		mu := tk.means[bestPos]
-		tk.centeredQ = tk.centeredQ[:0]
-		for _, v := range tk.query {
-			tk.centeredQ = append(tk.centeredQ, geom.PhaseDiff(v, mu))
-		}
-		if m, err := tk.matcher.Subsequence(
-			tk.centeredQ, tk.centered[bestPos], tk.lengths, tk.cfg.Stride,
-			dtw.Options{Window: tk.cfg.DTWBand, Circular: true},
-		); err == nil {
-			best = m
-		}
+	if rescan && bestPos != tk.posIdx && !math.IsInf(held.Dist, 1) &&
+		best.Dist > switchMargin*held.Dist {
+		// Not convincingly better: keep the current lock and report
+		// the held position's own match from this scan.
+		best, bestPos = held, tk.posIdx
 	}
 	tk.posIdx = bestPos
 	tk.posLocked = true
@@ -602,7 +590,7 @@ func (tk *Tracker) Reset() {
 	tk.stable.Reset()
 	tk.posIdx = 0
 	tk.posLocked = false
-	tk.shortlist = nil
+	tk.shortlist = tk.shortlist[:0]
 	tk.badCount = 0
 	tk.hasLast = false
 	tk.haveT = false

@@ -297,3 +297,26 @@ func TestSourceString(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackerStablePushAllocationFree: facing the road, every sample
+// is stable and re-ranks the positions (Eq. 4), so a warmed-up
+// tracker's Push must not allocate on that path.
+func TestTrackerStablePushAllocationFree(t *testing.T) {
+	tk := newTestTracker(t, 4, DefaultConfig())
+	ts, front := 0.0, false
+	for ; ts < 3; ts += 0.002 {
+		if est, ok := tk.Push(ts, 0); ok && est.Source == SourceFront {
+			front = true
+		}
+	}
+	if !front {
+		t.Fatal("constant phase never reported facing front")
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		ts += 0.002
+		tk.Push(ts, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("stable Push allocates %v times per sample, want 0", allocs)
+	}
+}

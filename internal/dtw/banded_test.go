@@ -278,20 +278,3 @@ func BenchmarkDistanceBanded(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSubsequenceScan is the tracker-shaped hot path: one query
-// window scanned over a profile at every candidate length, with the
-// abandon threshold tightening as matches improve.
-func BenchmarkSubsequenceScan(b *testing.B) {
-	profile := randWalk(5, 1500)
-	query := append([]float64(nil), profile[700:750]...)
-	lengths := CandidateLengths(len(query), 0.5, 2, 2, len(profile))
-	m := NewMatcher(len(profile))
-	opt := Options{Window: 8, Circular: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Subsequence(query, profile, lengths, 2, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,11 +6,15 @@
 //
 // The implementation uses the classic two-row dynamic program with an
 // optional Sakoe-Chiba band and early abandoning, and exposes a
-// Matcher that reuses its scratch rows so the tracker's hot loop runs
-// allocation-free. The banded kernel touches only the O(w) band slice
-// of each row (plus one guard cell), so banded cost is O(n·w + m)
-// rather than O(n·m); see DESIGN.md §16 for the row-arena invariant
-// and the bit-exactness argument that gates this kernel.
+// Matcher that reuses its scratch so the tracker's hot loop runs
+// allocation-free. One row kernel (relaxRow) serves both entry points.
+// It touches only the O(w) band slice of each row plus one guard cell,
+// so a banded Distance costs O(n·w + m) rather than O(n·m).
+// Subsequence, the tracker's search, builds each query×profile local
+// cost once per scan and each candidate length's band once, so its
+// candidates only add table entries in the order Distance would. See
+// DESIGN.md §16 for the row-arena invariant and the bit-exactness
+// argument that gates both.
 package dtw
 
 import (
@@ -51,23 +55,27 @@ type Options struct {
 	Derivative bool
 }
 
-// localCost returns |a-b|, or the shortest angular distance when
-// circular. Phases coming out of atan2 live in [-π, π], so their
+// localCosts sets dst[k] to the local cost of (a, b[k]) for every k
+// of dst: |a-b|, or the shortest angular distance when circular. Every
+// cost the DP adds comes from here, a row at a time, so the loop stays
+// free of calls. Phases coming out of atan2 live in [-π, π], so their
 // difference never exceeds 2π and the math.Mod reduction — expensive
 // in pure Go — is skipped on the hot path. The guarded slow path is
 // bit-identical: for d ≤ 2π, Mod(d, 2π) returns d unchanged (or 0 at
 // exactly 2π, which the seam fold below also produces).
-func localCost(a, b float64, circular bool) float64 {
-	d := math.Abs(a - b)
-	if circular {
-		if d > 2*math.Pi {
-			d = math.Mod(d, 2*math.Pi)
+func localCosts(dst []float64, a float64, b []float64, circular bool) {
+	for k, bk := range b[:len(dst)] {
+		d := math.Abs(a - bk)
+		if circular {
+			if d > 2*math.Pi {
+				d = math.Mod(d, 2*math.Pi)
+			}
+			if d > math.Pi {
+				d = 2*math.Pi - d
+			}
 		}
-		if d > math.Pi {
-			d = 2*math.Pi - d
-		}
+		dst[k] = d
 	}
-	return d
 }
 
 // effectiveWindow widens a Sakoe-Chiba half-width so the band stays
@@ -113,12 +121,17 @@ func bandRow(i int, slope float64, w, mm int) (lo, hi int) {
 //     how a serve worker amortizes scratch across its sessions (see
 //     core.Tracker.SetMatcher).
 //
-// The two scratch rows double as the banded cost arena: Distance
-// initializes only the cells the band visits, carrying a high-water
-// mark across rows so stale cells from earlier calls are never read.
+// The two scratch rows double as the banded cost arena: the row
+// kernel initializes only the cells the band visits, carrying a
+// high-water mark across rows so stale cells from earlier calls are
+// never read. Subsequence adds the query×profile cost table and one
+// candidate length's band; both are rebuilt by every call.
 type Matcher struct {
 	prev, cur []float64
 	da, db    []float64 // derivative scratch
+	rowCost   []float64 // Distance: local costs of one band row
+	cost      []float64 // Subsequence: query×profile local costs, row-major
+	lo, hi    []int     // Subsequence: band [lo[i-1], hi[i-1]] of row i
 }
 
 // NewMatcher returns a Matcher with scratch capacity for series of up
@@ -182,56 +195,26 @@ func (m *Matcher) Distance(a, b []float64, opt Options) (float64, error) {
 	abandon := opt.AbandonAbove
 	var lastAdd float64
 	if abandon > 0 {
-		c0 := localCost(a[0], b[0], circ)
+		var corner [2]float64 // costs of cells (1,1) and (n,m)
+		localCosts(corner[:1], a[0], b, circ)
 		if n > 1 || mm > 1 {
-			lastAdd = localCost(a[n-1], b[mm-1], circ)
+			localCosts(corner[1:], a[n-1], b[mm-1:], circ)
 		}
-		if c0+lastAdd > abandon {
+		lastAdd = corner[1]
+		if corner[0]+lastAdd > abandon {
 			return inf, nil
 		}
 	}
 
-	// Row 0: only the prefix row 1 reads is initialized.
 	_, hi1 := bandRow(1, slope, w, mm)
-	prev[0] = 0
-	for j := 1; j <= hi1; j++ {
-		prev[j] = inf
-	}
-	prevHi := hi1
-
+	prevHi := initRow0(prev, hi1)
+	m.rowCost = grow(m.rowCost, min(mm, 2*w+1))
 	for i := 1; i <= n; i++ {
 		lo, hi := bandRow(i, slope, w, mm)
-		// Inf-fill the prev cells this row reads beyond the band the
-		// previous row actually wrote (band edges only ever grow).
-		for j := prevHi + 1; j <= hi; j++ {
-			prev[j] = inf
-		}
+		rc := m.rowCost[:hi-lo+1]
+		localCosts(rc, a[i-1], b[lo-1:], circ)
+		rowMin := relaxRow(prev, cur, rc, lo, hi, prevHi)
 		prevHi = hi
-		// Clear only the band slice of cur, plus the guard cell lo-1
-		// that the j==lo step reads as its deletion predecessor.
-		for j := lo - 1; j <= hi; j++ {
-			cur[j] = inf
-		}
-		rowMin := inf
-		ai := a[i-1]
-		for j := lo; j <= hi; j++ {
-			c := localCost(ai, b[j-1], circ)
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
-			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			v := c + best
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
 		if abandon > 0 {
 			la := lastAdd
 			if i == n {
@@ -244,6 +227,66 @@ func (m *Matcher) Distance(a, b []float64, opt Options) (float64, error) {
 		prev, cur = cur, prev
 	}
 	return prev[mm], nil
+}
+
+// initRow0 initializes row 0 of the arena: the origin cell, then +Inf
+// on the prefix [1, hi1] that row 1 reads. It returns hi1, the
+// high-water mark relaxRow carries from row to row.
+func initRow0(prev []float64, hi1 int) int {
+	prev[0] = 0
+	inf := math.Inf(1)
+	for j := 1; j <= hi1; j++ {
+		prev[j] = inf
+	}
+	return hi1
+}
+
+// relaxRow is the DP kernel shared by Distance and Subsequence. It
+// fills cur[lo..hi] for one row of the banded grid, where cost[k] is
+// the local cost of column lo+k, and returns the row minimum:
+//
+//	cur[j] = cost[j-lo] + min(prev[j], prev[j-1], cur[j-1])
+//
+// Unreachable cells stay +Inf. prevHi is the previous row's hi.
+// Because band edges never move left, the previous row wrote prev on
+// [lo_{i-1}-1, prevHi], so the only cells this row reads that nobody
+// wrote are prev(prevHi, hi], which are inf-filled first, and the
+// guard cell cur[lo-1], which the j == lo step reads as its deletion
+// predecessor.
+func relaxRow(prev, cur, cost []float64, lo, hi, prevHi int) float64 {
+	inf := math.Inf(1)
+	for j := prevHi + 1; j <= hi; j++ {
+		prev[j] = inf
+	}
+	cur[lo-1] = inf
+	cost = cost[:hi-lo+1]
+	// Windows starting at column lo: p[k] and c[k] are cell lo+k. The
+	// match and deletion predecessors are carried from the previous
+	// step instead of re-read.
+	p, c := prev[lo:hi+1], cur[lo:hi+1]
+	diag, left := prev[lo-1], inf
+	rowMin := inf
+	for k, ck := range cost {
+		up := p[k]
+		best := up // insertion
+		if diag < best {
+			best = diag // match
+		}
+		if left < best {
+			best = left // deletion
+		}
+		diag = up
+		if math.IsInf(best, 1) {
+			c[k], left = inf, inf
+			continue
+		}
+		v := ck + best
+		c[k], left = v, v
+		if v < rowMin {
+			rowMin = v
+		}
+	}
+	return rowMin
 }
 
 // NormalizedDistance returns Distance divided by the number of samples
@@ -275,9 +318,10 @@ func Distance(a, b []float64, opt Options) (float64, error) {
 	return NewMatcher(len(b)).Distance(a, b, opt)
 }
 
-func grow(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when it lacks capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -25,10 +25,28 @@ func (m Match) End() int { return m.Start + m.Length }
 // is Lines 3–8 of the paper's Algorithm 1: candidate lengths span
 // [0.5W, 2W] to absorb head-turning-speed mismatch between profiling
 // and run-time, and the global minimum across all (start, length)
-// pairs wins.
+// pairs wins; among equal scores the first candidate in (length,
+// start) order wins.
 //
-// The matcher's early-abandon threshold is tightened to the best score
-// found so far, which prunes most cells in practice.
+// The result is bit-identical to calling NormalizedDistance on every
+// candidate segment in that order, with the early-abandon threshold
+// tightened to the best score found so far. The scan gets there
+// cheaper:
+//
+//   - Cost table. The local cost of every (query sample, profile
+//     sample) pair is computed once per call into a len(query) ×
+//     len(profile) table (in Derivative mode, over the first
+//     differences of both), about 65 KB for the tracker's 10-sample
+//     query against an 815-sample profile. Each banded row of a
+//     candidate is a contiguous slice of that table.
+//   - Band table. The band [lo, hi] of every row is computed once per
+//     candidate length rather than once per row of every candidate.
+//   - Prescreen. Every warping path pays the first and last cell, so
+//     a candidate whose two corner costs already exceed the threshold
+//     is rejected by two table lookups before any row is set up.
+//
+// The table lives in the Matcher and is rebuilt by every call, so the
+// Matcher's ownership rules are unchanged.
 func (m *Matcher) Subsequence(query, profile []float64, lengths []int, stride int, opt Options) (Match, error) {
 	if len(query) == 0 || len(profile) == 0 {
 		return Match{}, ErrEmptyInput
@@ -38,39 +56,125 @@ func (m *Matcher) Subsequence(query, profile []float64, lengths []int, stride in
 	}
 	best := Match{Dist: math.Inf(1)}
 	searched := false
+	var q, p []float64 // the aligned series: raw, or first differences
 	for _, L := range lengths {
 		if L < 1 || L > len(profile) {
 			continue
 		}
-		for start := 0; start+L <= len(profile); start += stride {
+		// Derivative mode cannot align a one-sample series; the first
+		// such candidate fails the whole search, as Distance would.
+		if opt.Derivative && (len(query) < 2 || L < 2) {
+			return Match{}, ErrEmptyInput
+		}
+		if !searched {
+			q, p = m.buildCostTable(query, profile, opt)
 			searched = true
-			seg := profile[start : start+L]
-			o := opt
-			if !math.IsInf(best.Dist, 1) {
-				// Convert the normalized best into an unnormalized
-				// abandon bound for this candidate length, using the
-				// same normalizer NormalizedDistance divides by.
-				bound := best.Dist * float64(alignedLen(len(query), L, o))
-				if o.AbandonAbove <= 0 || bound < o.AbandonAbove {
-					o.AbandonAbove = bound
+		}
+		n, np := len(q), len(p)
+		mm := len(q) - len(query) + L // L, or L-1 over first differences
+		m.buildBand(n, mm, opt.Window)
+		norm := float64(alignedLen(len(query), L, opt))
+		// lastOff+start indexes the cost of the final cell (n, mm).
+		lastOff, lastCell := (n-1)*np+mm-1, n > 1 || mm > 1
+		limit := abandonLimit(best.Dist, norm, opt.AbandonAbove)
+		for start := 0; start+mm <= np; start += stride {
+			var lastAdd float64
+			if limit > 0 {
+				if lastCell {
+					lastAdd = m.cost[lastOff+start]
+				}
+				if m.cost[start]+lastAdd > limit {
+					continue
 				}
 			}
-			d, err := m.NormalizedDistance(query, seg, o)
-			if err != nil {
-				return Match{}, err
-			}
-			if d < best.Dist {
+			d := m.align(start, n, np, mm, limit, lastAdd)
+			if d /= norm; d < best.Dist {
 				best = Match{Start: start, Length: L, Dist: d}
+				limit = abandonLimit(best.Dist, norm, opt.AbandonAbove)
 			}
 		}
 	}
-	if !searched {
-		return Match{}, ErrNoCandidates
-	}
-	if math.IsInf(best.Dist, 1) {
+	if !searched || math.IsInf(best.Dist, 1) {
 		return Match{}, ErrNoCandidates
 	}
 	return best, nil
+}
+
+// abandonLimit converts the best normalized score so far into the
+// unnormalized abandon threshold for a candidate whose normalizer is
+// norm, capped by the caller's own AbandonAbove. Zero or less means
+// no abandoning, exactly as Options.AbandonAbove reads.
+func abandonLimit(bestDist, norm, abandonAbove float64) float64 {
+	if math.IsInf(bestDist, 1) {
+		return abandonAbove
+	}
+	if bound := bestDist * norm; abandonAbove <= 0 || bound < abandonAbove {
+		return bound
+	}
+	return abandonAbove
+}
+
+// buildCostTable fills m.cost with the local cost of every (query,
+// profile) sample pair, row-major with one row per query sample, and
+// returns the series it was built over: the inputs themselves, or
+// their first differences in Derivative mode.
+func (m *Matcher) buildCostTable(query, profile []float64, opt Options) (q, p []float64) {
+	q, p = query, profile
+	if opt.Derivative {
+		m.da = Derivatives(query, m.da)
+		m.db = Derivatives(profile, m.db)
+		q, p = m.da, m.db
+	}
+	np := len(p)
+	m.cost = grow(m.cost, len(q)*np)
+	for i, qi := range q {
+		localCosts(m.cost[i*np:(i+1)*np], qi, p, opt.Circular)
+	}
+	return q, p
+}
+
+// buildBand fills m.lo and m.hi with the band of each row of an n×mm
+// grid, exactly as Distance computes it row by row.
+func (m *Matcher) buildBand(n, mm, window int) {
+	slope := float64(mm) / float64(n)
+	w := mm
+	if window > 0 {
+		w = effectiveWindow(window, slope)
+	}
+	m.lo = grow(m.lo, n)
+	m.hi = grow(m.hi, n)
+	for i := 1; i <= n; i++ {
+		m.lo[i-1], m.hi[i-1] = bandRow(i, slope, w, mm)
+	}
+}
+
+// align runs the banded DP for the candidate segment starting at
+// start, reading row i's local costs from the cost table, and returns
+// its unnormalized distance, or +Inf once a row proves it worse than
+// limit. It is Distance with the corner prescreen already done by the
+// caller, which passes the final cell's cost as lastAdd.
+func (m *Matcher) align(start, n, np, mm int, limit, lastAdd float64) float64 {
+	m.prev = grow(m.prev, mm+1)
+	m.cur = grow(m.cur, mm+1)
+	prev, cur := m.prev, m.cur
+	prevHi := initRow0(prev, m.hi[0])
+	for i := 1; i <= n; i++ {
+		lo, hi := m.lo[i-1], m.hi[i-1]
+		off := (i-1)*np + start - 1 // cost of column j is m.cost[off+j]
+		rowMin := relaxRow(prev, cur, m.cost[off+lo:off+hi+1], lo, hi, prevHi)
+		prevHi = hi
+		if limit > 0 {
+			la := lastAdd
+			if i == n {
+				la = 0 // the final cell is already inside rowMin
+			}
+			if rowMin+la > limit {
+				return math.Inf(1)
+			}
+		}
+		prev, cur = cur, prev
+	}
+	return prev[mm]
 }
 
 // CandidateLengths enumerates the candidate match lengths of
