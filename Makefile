@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint-walltime cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
+.PHONY: verify build test race vet lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
 
 # verify is the tier-1 gate: vet + the walltime lint + build + full
 # test suite + the race runs that give the concurrency and
-# fault-injection tests their teeth.
-verify: vet lint-walltime build test race
+# fault-injection tests their teeth + the fleet benchmark module.
+verify: vet lint-walltime build test race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,12 @@ test:
 race:
 	$(GO) test -race ./internal/serve ./internal/faults ./internal/obs ./internal/profilestore ./internal/scenario ./internal/journal ./internal/cluster
 
+# fleetbench/ is its own Go module, so the root ./... never compiles
+# it: vet and test it here so an API change that breaks the benchmark
+# fails the gate instead of the next benchmark run.
+bench-check:
+	cd fleetbench && $(GO) vet ./... && $(GO) test ./...
+
 # Per-package statement coverage summary (the README records the
 # baseline). Writes the merged profile to COVER.out for drill-down
 # with `go tool cover -html=COVER.out`.
@@ -82,10 +88,9 @@ bench-profilestore:
 bench-journal:
 	$(GO) run ./cmd/vihot-bench -journaljson BENCH_journal.json
 
-# Serving hot-path benchmark: the session-manager scaling matrix plus
-# the multi-core ingest grid (GOMAXPROCS × shards × sessions through
-# SPSC producer lanes), with per-cell match-stage p95 and the
-# runtime's mutex-wait contention proxy (DESIGN.md §16).
+# Serving hot-path benchmark: the session-manager scaling matrix
+# (shards × sessions through PushBatch) plus the pooled-ingest
+# allocation comparison (DESIGN.md §16).
 bench-hotpath:
 	$(GO) run ./cmd/vihot-bench -servejson BENCH_serve.json
 

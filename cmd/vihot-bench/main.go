@@ -46,7 +46,7 @@ func main() {
 	journalJSON := flag.String("journaljson", "", "run the durable-journal overhead benchmark (serve throughput with journaling off vs group-commit vs fsync-per-record) and write JSON to this path (skips the figure benches)")
 	clusterJSON := flag.String("clusterjson", "", "run the cluster routing benchmark (direct vs 1-node vs 4-node throughput, drain-handoff latency) and write JSON to this path (skips the figure benches)")
 	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, policy churn grid) and write JSON to this path (skips the figure benches)")
-	profilePolicy := flag.String("profile-policy", "all", "churn-grid eviction policies for -profilejson: \"all\" or a comma list of lru,lfu,2q")
+	profilePolicy := flag.String("profile-policy", "all", "churn-grid eviction policies for -profilejson: \"all\" or a comma list of lru,lfu")
 	profileAdmission := flag.String("profile-admission", "both", "churn-grid doorkeeper axis for -profilejson: both, on, or off")
 	scenarios := flag.String("scenarios", "", "replay a weighted scenario mix through the session manager: \"all\" or \"name:weight,...\" (skips the figure benches)")
 	scenarioSessions := flag.Int("scenario-sessions", 8, "total session count for -scenarios, apportioned across the mix by weight")
@@ -175,7 +175,6 @@ type serveBaseline struct {
 	FramesPer    int                 `json:"frames_per_session"`
 	Note         string              `json:"note,omitempty"`
 	Results      []serveBenchCell    `json:"results"`
-	Multicore    []multicoreCell     `json:"multicore,omitempty"`
 	PooledIngest *pooledIngestResult `json:"pooled_ingest,omitempty"`
 }
 
@@ -235,7 +234,7 @@ func runServeBench(path string, seed int64) error {
 		FramesPer:  len(phases),
 	}
 	if base.NumCPU <= 1 {
-		base.Note = "single-CPU host: shard scaling cannot improve wall clock here; frames/s is a per-core throughput baseline, and the multicore grid's GOMAXPROCS axis records scheduler pressure, not parallelism"
+		base.Note = "single-CPU host: shard scaling cannot improve wall clock here; frames/s is a per-core throughput baseline"
 	}
 	for _, shards := range []int{1, 4, 16} {
 		for _, sessions := range []int{1, 16, 128} {
@@ -271,11 +270,6 @@ func runServeBench(path string, seed int64) error {
 				shards, sessions, cell.FramesPerS, cell.Estimates, cell.Dropped)
 		}
 	}
-	mc, err := runMulticoreGrid(profile, phases)
-	if err != nil {
-		return err
-	}
-	base.Multicore = mc
 	pi, err := runPooledIngest(env, profile)
 	if err != nil {
 		return err

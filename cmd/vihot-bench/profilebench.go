@@ -181,10 +181,10 @@ func runChurnGrid(base *profileBaseline, profile *core.Profile, seed int64,
 }
 
 // parseBenchPolicies maps the -profile-policy flag ("all" or a
-// comma list of lru/lfu/2q) onto the grid's policy axis.
+// comma list of lru/lfu) onto the grid's policy axis.
 func parseBenchPolicies(s string) ([]profilestore.Policy, error) {
 	if s == "" || s == "all" {
-		return []profilestore.Policy{profilestore.PolicyLRU, profilestore.PolicyLFU, profilestore.Policy2Q}, nil
+		return []profilestore.Policy{profilestore.PolicyLRU, profilestore.PolicyLFU}, nil
 	}
 	var out []profilestore.Policy
 	for _, tok := range strings.Split(s, ",") {

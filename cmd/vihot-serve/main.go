@@ -141,7 +141,7 @@ func main() {
 	profileCache := flag.Int("profile-cache", 64,
 		"profile-store cache capacity in profiles (with -profile-dir)")
 	profilePolicy := flag.String("profile-policy", "lru",
-		"profile-store eviction policy: lru, lfu, or 2q (with -profile-dir)")
+		"profile-store eviction policy: lru or lfu (with -profile-dir)")
 	profileAdmission := flag.Bool("profile-admission", false,
 		"enable the profile-store doorkeeper admission filter (with -profile-dir)")
 	scenarioMix := flag.String("scenario-mix", "",

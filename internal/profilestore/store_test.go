@@ -317,7 +317,7 @@ func TestStoreMetricsExposition(t *testing.T) {
 	}
 	// Two policies share one registry without colliding: the label
 	// keeps the series distinct.
-	s2 := New(Config{Capacity: 1, Shards: 1, Policy: Policy2Q, Loader: cl, Metrics: reg})
+	s2 := New(Config{Capacity: 1, Shards: 1, Policy: PolicyLFU, Loader: cl, Metrics: reg})
 	if _, err := s2.Get("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `vihot_profilestore_loads_total{policy="2q"} 1`) {
-		t.Error("exposition missing the 2q-labelled series")
+	if !strings.Contains(buf.String(), `vihot_profilestore_loads_total{policy="lfu"} 1`) {
+		t.Error("exposition missing the lfu-labelled series")
 	}
 }
 

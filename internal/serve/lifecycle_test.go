@@ -3,6 +3,7 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -167,6 +168,59 @@ func TestHardCloseAccountsBacklog(t *testing.T) {
 		t.Fatalf("Sessions() = %d after hard Close, want 0", m.Sessions())
 	}
 	t.Logf("hard close: processed=%d abandoned=%d", snap.Processed, snap.DroppedClosed)
+}
+
+// TestPushCloseRace runs pushers into one session while another
+// goroutine hard-closes the manager: nothing may panic, every item
+// accepted before the close is processed or counted dropped, and every
+// item refused after it lands in RejectedClosed.
+func TestPushCloseRace(t *testing.T) {
+	f := getFixture(t)
+	const perPusher = 500
+	for trial := 0; trial < 20; trial++ {
+		m := serve.New(serve.Config{Shards: 2, QueueLen: 64})
+		if err := m.Open("car-0", f.profile, core.DefaultPipelineConfig()); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				items := phaseItems("car-0", 0, perPusher)
+				<-start
+				if w == 0 {
+					for _, it := range items {
+						m.Push(it)
+					}
+					return
+				}
+				for i := 0; i < len(items); i += 16 {
+					m.PushBatch(items[i:min(i+16, len(items))])
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// Close mid-stream: once a third of the items are in, so
+			// the close lands on a live backlog with pushes still due.
+			for m.Counters().Snapshot().Total() < perPusher {
+				runtime.Gosched()
+			}
+			m.Close()
+		}()
+		close(start)
+		wg.Wait()
+		snap := m.Counters().Snapshot()
+		conservation(t, snap)
+		if got := snap.Total() + snap.RejectedClosed; got != 3*perPusher {
+			t.Fatalf("trial %d: accepted %d + refused %d = %d, want %d pushed",
+				trial, snap.Total(), snap.RejectedClosed, got, 3*perPusher)
+		}
+	}
 }
 
 // TestRejectedKindTable is the satellite's table test: every valid

@@ -27,18 +27,6 @@
 // in Counters.DroppedStale. CSI at 500 Hz is redundant; a tracker
 // absorbs gaps the same way it absorbs CSMA jitter.
 //
-// Multi-core ingest: Push/PushBatch serialize all pushers on each
-// shard's mutex, which is fine for one receive loop but caps scaling
-// when many cores feed the same manager. NewProducer returns a
-// per-goroutine lock-free lane — one single-producer/single-consumer
-// ring per shard, drained by the same shard worker alongside the
-// mutex ring — whose enqueue is a couple of atomic operations and
-// whose worker wakeups are batched (at most one per shard per batch,
-// and only when the worker is actually about to sleep). A full
-// producer ring drops the new item rather than the oldest (the
-// consumer owns the other end); the accounting identity is unchanged.
-// See the Producer type and the memory-model note in spsc.go.
-//
 // The OnEstimate sink is invoked from worker goroutines: serially for
 // any one session, concurrently across sessions on different shards.
 // It must therefore be safe for concurrent use keyed by session.
@@ -406,18 +394,6 @@ type shard struct {
 	count  int
 	closed bool
 	busy   bool // worker is processing a drained chunk
-
-	// sleeping is the worker's half of the Dekker wake handshake with
-	// lock-free Producers: set (under mu) before the worker reads the
-	// SPSC tails and cleared when it picks up work, so a producer that
-	// published an item the worker missed is guaranteed to observe the
-	// flag and broadcast. See the protocol note atop spsc.go.
-	sleeping atomic.Bool
-
-	// prings are the registered single-producer ingest rings. Appends
-	// happen under mu (NewProducer); the worker snapshots the slice
-	// under mu each drain cycle and reads the rings lock-free.
-	prings []*spscRing
 
 	// recycle mirrors Config.RecycleFrames so enqueue can release the
 	// frames of items it sheds without reaching back to the Manager.
@@ -960,31 +936,21 @@ func (m *Manager) admitTime(s *session, t float64) bool {
 	return true
 }
 
-// worker services one shard until Close, draining both ingest lanes:
-// the shared mutex ring and every registered SPSC producer ring.
+// worker services one shard's ring until Close.
 func (m *Manager) worker(sh *shard) {
 	defer m.wg.Done()
 	var (
 		chunk    []Item
 		resolved []*session
-		rings    []*spscRing
 	)
 	for {
 		sh.mu.Lock()
-		// Arm the wake handshake BEFORE reading the SPSC tails in
-		// spscPending: a producer publishes its tail first and reads
-		// sleeping second, so whichever side loses the race still
-		// observes the other's store (sequential consistency) and no
-		// wakeup is lost. The flag stays set across Wait wakeups —
-		// the loop condition re-reads the tails each pass.
-		sh.sleeping.Store(true)
-		for sh.count == 0 && !sh.closed && !sh.spscPending() {
+		for sh.count == 0 && !sh.closed {
 			// Idle: let Flush observe the empty, not-busy state.
 			sh.busy = false
 			sh.cond.Broadcast()
 			sh.cond.Wait()
 		}
-		sh.sleeping.Store(false)
 		if sh.closed {
 			// Hard close: abandon whatever is still queued. Every
 			// abandoned item is counted (DroppedClosed) so Total()
@@ -1005,10 +971,6 @@ func (m *Manager) worker(sh *shard) {
 			if n > 0 {
 				m.counters.droppedClosed.Add(uint64(n))
 			}
-			// Producer rings are sealed and swept under the same mutex
-			// hold, so no registration or publish can slip between the
-			// backlog abandon and the sweep.
-			m.sweepSPSC(sh)
 			sh.cond.Broadcast()
 			sh.mu.Unlock()
 			return
@@ -1029,14 +991,7 @@ func (m *Manager) worker(sh *shard) {
 		sh.head = (sh.head + n) % len(sh.ring)
 		sh.count -= n
 		sh.busy = true
-		rings = append(rings[:0], sh.prings...)
 		sh.mu.Unlock()
-
-		// Drain the producer rings lock-free: the worker is the only
-		// consumer, so this is two atomic loads and one store per ring.
-		for _, r := range rings {
-			chunk = r.drain(chunk, drainChunk)
-		}
 
 		// Resolve sessions for the whole chunk under one lock; the
 		// registry mutates only on Open/CloseSession/reap, and pipeline
@@ -1194,7 +1149,7 @@ func (m *Manager) Flush() {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for (sh.count > 0 || sh.busy || sh.spscPending()) && !sh.closed {
+		for (sh.count > 0 || sh.busy) && !sh.closed {
 			sh.cond.Wait()
 		}
 		sh.mu.Unlock()

@@ -317,8 +317,11 @@ func TestSessionManagerErrors(t *testing.T) {
 
 // TestSessionManagerStress hammers a small-queue manager from many
 // goroutines into many sessions — the go test -race workload of the
-// tier-1 verify instructions. It checks counter conservation, not
-// estimate values: with a 64-item queue, shedding is the point.
+// tier-1 verify instructions. Half the pushers use Push and half
+// PushBatch, and one corrupt-kind and one unknown-session item ride
+// along, so every accounting branch runs concurrently. It checks
+// counter conservation after a drain, not estimate values: with a
+// 64-item queue, shedding is the point.
 func TestSessionManagerStress(t *testing.T) {
 	f := getFixture(t)
 	col := newCollector()
@@ -349,6 +352,7 @@ func TestSessionManagerStress(t *testing.T) {
 			mine := ids[p*nSessions/nPushers : (p+1)*nSessions/nPushers]
 			clocks := make([]float64, len(mine))
 			phases := make([]float64, len(mine))
+			var batch []serve.Item
 			for i := 0; i < perPusher; i++ {
 				k := int(rng.Uniform(0, float64(len(mine))))
 				if k == len(mine) {
@@ -361,11 +365,20 @@ func TestSessionManagerStress(t *testing.T) {
 					it = serve.Item{Session: mine[k], Kind: serve.KindIMU,
 						IMU: imu.Reading{Time: clocks[k], GyroZ: rng.Normal(0, 2)}}
 				}
-				m.Push(it)
+				if p == 0 && i == perPusher/2 {
+					m.Push(serve.Item{Session: mine[k], Kind: serve.ItemKind(200)})
+				}
+				if p%2 == 0 {
+					m.Push(it)
+				} else if batch = append(batch, it); len(batch) == 32 {
+					m.PushBatch(batch)
+					batch = batch[:0]
+				}
 				if i%1024 == 0 {
 					m.Counters().Snapshot()
 				}
 			}
+			m.PushBatch(batch)
 		}(p)
 	}
 	// Concurrent observers: snapshots and flushes must be safe while
@@ -384,14 +397,19 @@ func TestSessionManagerStress(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	m.Flush()
+	// Pushed after the pushers stop, so no later push can shed it: it
+	// must reach a worker and count as DroppedUnknown.
+	m.Push(serve.Item{Session: "ghost", Kind: serve.KindPhase, Time: 1, Phi: 0})
+	m.CloseDrain()
 
 	snap := m.Counters().Snapshot()
-	if got, want := snap.Total(), uint64(nPushers*perPusher); got != want {
+	if got, want := snap.Total(), uint64(nPushers*perPusher+2); got != want {
 		t.Fatalf("items counted in = %d, want %d", got, want)
 	}
-	if snap.DroppedStale > snap.Total() {
-		t.Fatalf("DroppedStale = %d exceeds total %d", snap.DroppedStale, snap.Total())
+	conservation(t, snap)
+	if snap.RejectedKind != 1 || snap.DroppedUnknown < 1 {
+		t.Fatalf("accounting branches unexercised: RejectedKind=%d DroppedUnknown=%d",
+			snap.RejectedKind, snap.DroppedUnknown)
 	}
 	col.mu.Lock()
 	var sunk uint64

@@ -133,8 +133,8 @@ func LoadProfile(path string) (*Profile, error) { return core.LoadProfile(path) 
 // Profile lifecycle at fleet scale: profiles are immutable once built
 // (see core.Profile's contract), carry a 64-bit content fingerprint
 // (Profile.Fingerprint), and resolve by driver/cabin key through a
-// ProfileStore — a sharded cache with pluggable eviction (LRU, LFU,
-// 2Q), optional doorkeeper admission, and singleflight deduplication
+// ProfileStore — a sharded cache with LRU or LFU eviction, optional
+// doorkeeper admission, and singleflight deduplication
 // of concurrent cold loads, sharing one instance across every session
 // opened for the same driver (SessionManagerConfig.Profiles +
 // SessionManager.OpenByKey / OpenSessionsByKey, ProfileStore.GetMany
@@ -169,14 +169,10 @@ const (
 	// ProfilePolicyLFU evicts the least frequently used profile,
 	// least-recent among ties.
 	ProfilePolicyLFU = profilestore.PolicyLFU
-	// ProfilePolicy2Q runs the classic 2Q scheme: a FIFO probation
-	// queue, a protected main queue, and a ghost queue of recently
-	// evicted keys — scan-resistant without frequency counters.
-	ProfilePolicy2Q = profilestore.Policy2Q
 )
 
-// ParseProfilePolicy parses "lru", "lfu", or "2q" (also "twoq"); the
-// empty string selects the LRU default.
+// ParseProfilePolicy parses "lru" or "lfu"; the empty string selects
+// the LRU default.
 func ParseProfilePolicy(s string) (ProfilePolicy, error) { return profilestore.ParsePolicy(s) }
 
 // NewProfileStore builds a profile store; see ProfileStoreConfig.
