@@ -41,7 +41,7 @@ test:
 # The serving engine's stress/soak tests, the fault injector (now
 # including the crash-recovery soak), the metrics registry (scraped
 # concurrently with the hot path), the profile store's cold-key
-# storms and per-policy invalidate-vs-inflight-load races, the
+# storms and invalidate-vs-inflight-load races, the
 # scenario generator's concurrent replay, the write-behind journal's
 # concurrent appenders, and the cluster's partition/failover chaos
 # soak only mean something under the race detector.
@@ -77,7 +77,8 @@ bench-obs:
 	$(GO) run ./cmd/vihot-bench -obsjson BENCH_obs.json
 
 # Profile-store benchmark: cold disk load, zero-allocation hot hit,
-# and a 64-goroutine contention run (DESIGN.md §10).
+# a 64-goroutine contention run (DESIGN.md §10), and three churn
+# traces replayed against one LRU store (DESIGN.md §15).
 bench-profilestore:
 	$(GO) run ./cmd/vihot-bench -profilejson BENCH_profilestore.json
 

@@ -45,9 +45,7 @@ func main() {
 	obsJSON := flag.String("obsjson", "", "run the observability overhead benchmark (serve throughput with obs off vs on) and write JSON to this path (skips the figure benches)")
 	journalJSON := flag.String("journaljson", "", "run the durable-journal overhead benchmark (serve throughput with journaling off vs group-commit vs fsync-per-record) and write JSON to this path (skips the figure benches)")
 	clusterJSON := flag.String("clusterjson", "", "run the cluster routing benchmark (direct vs 1-node vs 4-node throughput, drain-handoff latency) and write JSON to this path (skips the figure benches)")
-	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, policy churn grid) and write JSON to this path (skips the figure benches)")
-	profilePolicy := flag.String("profile-policy", "all", "churn-grid eviction policies for -profilejson: \"all\" or a comma list of lru,lfu")
-	profileAdmission := flag.String("profile-admission", "both", "churn-grid doorkeeper axis for -profilejson: both, on, or off")
+	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, LRU churn traces) and write JSON to this path (skips the figure benches)")
 	scenarios := flag.String("scenarios", "", "replay a weighted scenario mix through the session manager: \"all\" or \"name:weight,...\" (skips the figure benches)")
 	scenarioSessions := flag.Int("scenario-sessions", 8, "total session count for -scenarios, apportioned across the mix by weight")
 	scenarioSeconds := flag.Float64("scenario-seconds", 0, "override every -scenarios scenario's duration (0 = corpus defaults)")
@@ -66,7 +64,7 @@ func main() {
 	}
 
 	if *profileJSON != "" {
-		if err := runProfileBench(*profileJSON, *seed, *profilePolicy, *profileAdmission); err != nil {
+		if err := runProfileBench(*profileJSON, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

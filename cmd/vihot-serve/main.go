@@ -139,11 +139,7 @@ func main() {
 	profileDir := flag.String("profile-dir", "",
 		"persist driver profiles here and resolve sessions through the shared profile store (OpenByKey); empty keeps the direct Open path")
 	profileCache := flag.Int("profile-cache", 64,
-		"profile-store cache capacity in profiles (with -profile-dir)")
-	profilePolicy := flag.String("profile-policy", "lru",
-		"profile-store eviction policy: lru or lfu (with -profile-dir)")
-	profileAdmission := flag.Bool("profile-admission", false,
-		"enable the profile-store doorkeeper admission filter (with -profile-dir)")
+		"profile-store cache capacity in profiles, at least 1 (with -profile-dir)")
 	scenarioMix := flag.String("scenario-mix", "",
 		"draw each driver's trajectory from a weighted corpus scenario mix (\"all\" or \"name:weight,...\") instead of the default glance-and-steer trip; prints a per-scenario accuracy/health breakdown (CSI+IMU only: camera items have no wire type)")
 	var jf journalFlags
@@ -157,7 +153,7 @@ func main() {
 		"journal fsync policy: batch, none, or always (with -journal)")
 	flag.Parse()
 	if err := run(*drivers, *shards, *seconds, *queue, *seed, *sessionTTL, ff, *metricsAddr, *traceOut,
-		*profileDir, *profileCache, *profilePolicy, *profileAdmission, *scenarioMix, jf); err != nil {
+		*profileDir, *profileCache, *scenarioMix, jf); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -195,8 +191,11 @@ type carPlan struct {
 
 func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL float64,
 	ff faultFlags, metricsAddr, traceOut, profileDir string, profileCache int,
-	profilePolicy string, profileAdmission bool, scenarioMix string,
-	jf journalFlags) error {
+	scenarioMix string, jf journalFlags) error {
+	if profileDir != "" && profileCache < 1 {
+		// The store would quietly substitute its 256-profile default.
+		return fmt.Errorf("-profile-cache must be at least 1 with -profile-dir, got %d", profileCache)
+	}
 	if drivers < 1 {
 		drivers = 1
 	}
@@ -276,10 +275,6 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	// copy. Without it, profiles are handed to Open directly.
 	var store *profilestore.Store
 	if profileDir != "" {
-		pol, err := profilestore.ParsePolicy(profilePolicy)
-		if err != nil {
-			return err
-		}
 		dl := profilestore.NewDirLoader(profileDir)
 		for i, name := range profNames {
 			if err := dl.Save(name, profiles[i]); err != nil {
@@ -287,14 +282,12 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 			}
 		}
 		store = profilestore.New(profilestore.Config{
-			Capacity:  profileCache,
-			Policy:    pol,
-			Admission: profileAdmission,
-			Loader:    dl,
-			Metrics:   reg,
+			Capacity: profileCache,
+			Loader:   dl,
+			Metrics:  reg,
 		})
-		fmt.Printf("profile store: %d profiles in %s (cache capacity %d, policy %s, admission %v)\n",
-			len(profNames), profileDir, profileCache, pol, profileAdmission)
+		fmt.Printf("profile store: %d profiles in %s (cache capacity %d)\n",
+			len(profNames), profileDir, profileCache)
 	}
 
 	// The receiver: one UDP socket feeding the session manager.
@@ -709,9 +702,8 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 		snap.ToDegraded, snap.ToCoasting, snap.ToStale, snap.Recoveries, snap.TrackerResets)
 	if store != nil {
 		st := store.Stats()
-		fmt.Printf("profile store [%s]: hits=%d misses=%d loads=%d errors=%d evictions=%d admission-rejected=%d doorkeeper-admits=%d cached=%d (%d bytes)\n",
-			store.Policy(), st.Hits, st.Misses, st.Loads, st.LoadErrors, st.Evictions,
-			st.AdmissionRejected, st.DoorkeeperAdmits, st.Profiles, st.Bytes)
+		fmt.Printf("profile store: hits=%d misses=%d loads=%d errors=%d evictions=%d cached=%d (%d bytes)\n",
+			st.Hits, st.Misses, st.Loads, st.LoadErrors, st.Evictions, st.Profiles, st.Bytes)
 	}
 	if jw != nil {
 		calls := jstats.Batches + jstats.Syncs

@@ -1,5 +1,5 @@
 // Package profilestore resolves driver profiles by key (driver or
-// cabin ID) through a sharded, policy-pluggable cache of immutable,
+// cabin ID) through a sharded LRU cache of immutable,
 // fingerprinted *core.Profile instances — the profile lifecycle layer
 // a fleet server needs between "millions of drivers on disk" and
 // "thousands of open tracking sessions in RAM".
@@ -15,41 +15,37 @@
 // GC, not the cache, owns lifetime), so evicting a hot driver can
 // never invalidate an open session.
 //
-// # Eviction policies and admission
+// # Eviction
 //
-// Config.Policy selects the per-shard eviction strategy: LRU (the
-// default, bit-identical to the store's original behavior), LFU
-// (frequency buckets; a one-shot key can never displace a profile
-// with hit history). Config.Admission additionally
-// arms a doorkeeper — a small recency sketch that refuses to cache a
-// first-touch key while the shard is full, so churny fleet workloads
-// (ride-share rider profiles, mixed cabins) cannot erode the hot set
-// one insert at a time. See policy.go and admission.go.
+// Each shard keeps one intrusive recency list: a hit splices the entry
+// to the front, a new entry goes in at the front, and an insert past
+// the shard's capacity evicts the tail. LRU is the only policy because
+// the store serves one known access pattern — one profile per car
+// seat, touched at trip open, far off the per-frame path — and on the
+// fleet benchmark LFU and a second-touch admission filter each saved
+// one cold load in 33 trip opens, well inside every bound (DESIGN.md
+// §15).
 //
 // # Concurrency
 //
 // Keys hash onto independent shards (FNV-1a, like serve's session
 // routing), each guarded by its own mutex, so unrelated drivers never
 // contend. The hot hit path is one shard lock, one map probe, and an
-// intrusive-list splice: zero allocations (proved by
-// BenchmarkStoreHotHit). Cold keys dedupe loads singleflight-style:
-// the first Get for a key starts the loader, concurrent Gets for the
-// same key park on that flight's done channel, and all of them
-// receive the one loaded instance — N racing opens cost one disk
-// read, never N. GetMany extends the same dedup across a batch: a
-// fleet open of N sessions over M distinct keys performs exactly M
-// loader calls, cold loads overlapping.
+// intrusive-list splice: zero allocations (TestHotHitAllocFree). Cold
+// keys dedupe loads singleflight-style: the first Get for a key starts
+// the loader, concurrent Gets for the same key park on that flight's
+// done channel, and all of them receive the one loaded instance — N
+// racing opens cost one disk read, never N. GetMany extends the same
+// dedup across a batch: a fleet open of N sessions over M distinct
+// keys performs exactly M loader calls, cold loads overlapping.
 //
 // # Metrics
 //
 // With Config.Metrics set the store exports
-// vihot_profilestore_{hits,misses,evictions,loads,load_errors,
-// admission_rejected,doorkeeper_admits}_total, the
-// vihot_profilestore_bytes / _profiles gauges, and a
-// vihot_profilestore_load_seconds latency histogram — every series
-// labelled policy="lru"|"lfu" so policies can be compared on one
-// dashboard. Without it the same counters back Stats() from a private
-// registry.
+// vihot_profilestore_{hits,misses,evictions,loads,load_errors}_total,
+// the vihot_profilestore_bytes / _profiles gauges, and a
+// vihot_profilestore_load_seconds latency histogram. Without it the
+// same counters back Stats() from a private registry.
 package profilestore
 
 import (
@@ -92,21 +88,12 @@ type Config struct {
 	// Shards is the number of independent cache shards. Default 8.
 	Shards int
 	// Capacity is the maximum number of cached profiles across all
-	// shards; when a shard exceeds its slice the policy's victim is
-	// evicted. Default 256. Capacity is advisory per shard (each shard
-	// holds up to ceil(Capacity/Shards) entries), so a pathological
-	// key distribution can cap slightly below Capacity.
+	// shards. Default 256. The slots are split across the shards and
+	// sum to exactly Capacity (the first Capacity%Shards shards hold
+	// one extra); a shard past its slots evicts its least recently
+	// used profile, so a skewed key distribution can leave the store
+	// holding fewer than Capacity profiles, never more.
 	Capacity int
-	// Policy selects the eviction strategy: PolicyLRU (default,
-	// behavior-identical to the pre-policy store) or PolicyLFU. See
-	// the Policy docs for when each wins.
-	Policy Policy
-	// Admission arms the doorkeeper: while a shard is full, the first
-	// load of an unknown key is returned to the caller but not cached;
-	// only a key touched twice within the sketch's memory may evict an
-	// established profile. Put bypasses admission (an explicit publish
-	// is its own decision).
-	Admission bool
 	// Loader resolves cache misses. Optional: a store without one is a
 	// pure cache fed by Put, and Get on a cold key fails ErrNoLoader.
 	Loader Loader
@@ -115,16 +102,67 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// entry is one cached profile plus its intrusive policy links.
-// prev/next (and LFU's fb field) are only touched under
-// the owning shard's lock.
+// entry is one cached profile plus its intrusive recency links.
+// prev/next are only touched under the owning shard's lock.
 type entry struct {
 	key        string
 	p          *core.Profile
 	fp         uint64
 	bytes      int64
 	prev, next *entry
-	fb         *freqBucket // LFU: owning frequency bucket
+}
+
+// list is one intrusive doubly-linked entry list (head = most
+// recently used, tail = eviction end).
+type list struct {
+	head, tail *entry
+}
+
+// pushFront links e at the head. e must be unlinked.
+func (l *list) pushFront(e *entry) {
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
+	}
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
+	}
+}
+
+// remove unlinks e.
+func (l *list) remove(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	if l.head == e {
+		l.head = e.next
+	}
+	if l.tail == e {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// moveToFront splices a linked e to the head.
+func (l *list) moveToFront(e *entry) {
+	if l.head == e {
+		return
+	}
+	l.remove(e)
+	l.pushFront(e)
+}
+
+// popTail unlinks and returns the tail, nil when empty.
+func (l *list) popTail() *entry {
+	e := l.tail
+	if e != nil {
+		l.remove(e)
+	}
+	return e
 }
 
 // flight is one in-progress load that concurrent Gets for the same
@@ -140,34 +178,28 @@ type flight struct {
 }
 
 // shard is an independent slice of the keyspace: a map for O(1)
-// probes, the policy's intrusive bookkeeping, the in-flight load
-// table, and (with Config.Admission) the doorkeeper sketch.
+// probes, the recency list, and the in-flight load table.
 type shard struct {
 	mu       sync.Mutex
 	items    map[string]*entry
-	pol      policy
-	door     *doorkeeper
+	lru      list
 	capacity int
 	inflight map[string]*flight
 }
 
 // Store is the concurrency-safe profile resolver. Build with New.
 type Store struct {
-	shards    []*shard
-	loader    Loader
-	admission bool
-	policy    Policy
+	shards []*shard
+	loader Loader
 
-	hits        *obs.Counter
-	misses      *obs.Counter
-	evictions   *obs.Counter
-	loads       *obs.Counter
-	loadErrors  *obs.Counter
-	admRejected *obs.Counter
-	doorAdmits  *obs.Counter
-	bytes       *obs.Gauge
-	profiles    *obs.Gauge
-	loadSec     *obs.Histogram
+	hits       *obs.Counter
+	misses     *obs.Counter
+	evictions  *obs.Counter
+	loads      *obs.Counter
+	loadErrors *obs.Counter
+	bytes      *obs.Gauge
+	profiles   *obs.Gauge
+	loadSec    *obs.Histogram
 }
 
 // New builds a Store.
@@ -183,54 +215,42 @@ func New(cfg Config) *Store {
 		// shrink the shard count instead so Capacity stays honest.
 		cfg.Shards = cfg.Capacity
 	}
-	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	pl := []string{"policy", cfg.Policy.String()}
 	s := &Store{
-		loader:    cfg.Loader,
-		admission: cfg.Admission,
-		policy:    cfg.Policy,
+		loader: cfg.Loader,
 		hits: reg.Counter("vihot_profilestore_hits_total",
-			"profile lookups served from cache", pl...),
+			"profile lookups served from cache"),
 		misses: reg.Counter("vihot_profilestore_misses_total",
-			"profile lookups that missed the cache", pl...),
+			"profile lookups that missed the cache"),
 		evictions: reg.Counter("vihot_profilestore_evictions_total",
-			"profiles evicted by cache pressure", pl...),
+			"profiles evicted by cache pressure"),
 		loads: reg.Counter("vihot_profilestore_loads_total",
-			"loader invocations (deduplicated across concurrent misses)", pl...),
+			"loader invocations (deduplicated across concurrent misses)"),
 		loadErrors: reg.Counter("vihot_profilestore_load_errors_total",
-			"loader invocations that failed", pl...),
-		admRejected: reg.Counter("vihot_profilestore_admission_rejected_total",
-			"loaded profiles returned to callers but refused caching by the doorkeeper", pl...),
-		doorAdmits: reg.Counter("vihot_profilestore_doorkeeper_admits_total",
-			"full-shard inserts admitted on a remembered second touch", pl...),
+			"loader invocations that failed"),
 		bytes: reg.Gauge("vihot_profilestore_bytes",
-			"approximate heap bytes of cached profile grids", pl...),
+			"approximate heap bytes of cached profile grids"),
 		profiles: reg.Gauge("vihot_profilestore_profiles",
-			"profiles currently cached", pl...),
+			"profiles currently cached"),
 		loadSec: reg.Histogram("vihot_profilestore_load_seconds",
-			"wall-clock latency of one loader invocation", obs.LatencyBuckets(), pl...),
+			"wall-clock latency of one loader invocation", obs.LatencyBuckets()),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
+		capacity := cfg.Capacity / cfg.Shards
+		if i < cfg.Capacity%cfg.Shards {
+			capacity++ // the remainder's slots: the shards sum to Capacity
+		}
+		s.shards = append(s.shards, &shard{
 			items:    make(map[string]*entry),
-			pol:      newPolicy(cfg.Policy),
-			capacity: perShard,
+			capacity: capacity,
 			inflight: make(map[string]*flight),
-		}
-		if cfg.Admission {
-			sh.door = newDoorkeeper(perShard)
-		}
-		s.shards = append(s.shards, sh)
+		})
 	}
 	return s
 }
-
-// Policy reports the eviction policy the store was built with.
-func (s *Store) Policy() Policy { return s.policy }
 
 // shardFor routes a key to its shard (FNV-1a, allocation-free).
 func (s *Store) shardFor(key string) *shard {
@@ -291,7 +311,7 @@ func (s *Store) acquire(key string) (*core.Profile, uint64, *flight, bool, error
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	if e, ok := sh.items[key]; ok {
-		sh.pol.touched(e)
+		sh.lru.moveToFront(e)
 		// Capture under the lock: a concurrent Put may replace e's
 		// instance the moment we release it.
 		p, fp := e.p, e.fp
@@ -342,34 +362,17 @@ func (s *Store) runLoad(key string, f *flight) {
 	if !f.invalidated {
 		// An Invalidate that raced this load wins: waiters get the
 		// instance, but it is never cached — the next Get loads fresh.
-		s.admitLocked(sh, key, f.p, f.fp)
+		s.insertLocked(sh, key, f.p, f.fp)
 	}
 	sh.mu.Unlock()
 	close(f.done)
-}
-
-// admitLocked is the loader-fill insert: the doorkeeper may refuse a
-// first-touch key while the shard is full. Caller holds sh.mu.
-func (s *Store) admitLocked(sh *shard, key string, p *core.Profile, fp uint64) {
-	if s.admission {
-		if _, resident := sh.items[key]; !resident && len(sh.items) >= sh.capacity {
-			if !sh.door.admit(key) {
-				s.admRejected.Add(1)
-				return
-			}
-			s.doorAdmits.Add(1)
-		}
-	}
-	s.insertLocked(sh, key, p, fp)
 }
 
 // Put publishes a profile under key, bypassing the loader — for
 // warming a cache at startup or registering a freshly built profile.
 // The store takes the instance as-is (no copy); the caller must treat
 // it as immutable from this point on. An existing entry for key is
-// replaced (sessions holding the old instance keep it). Put also
-// bypasses the admission filter: an explicit publish (cluster
-// replication, cache warming) is its own admission decision.
+// replaced (sessions holding the old instance keep it).
 func (s *Store) Put(key string, p *core.Profile) error {
 	if key == "" {
 		return ErrEmptyKey
@@ -385,26 +388,24 @@ func (s *Store) Put(key string, p *core.Profile) error {
 	return nil
 }
 
-// insertLocked adds or replaces the entry for key and evicts down to
-// capacity through the policy. Caller holds sh.mu.
+// insertLocked adds or replaces the entry for key at the front of the
+// recency list and evicts from the tail down to capacity. Caller
+// holds sh.mu.
 func (s *Store) insertLocked(sh *shard, key string, p *core.Profile, fp uint64) {
 	if e, ok := sh.items[key]; ok {
 		s.bytes.Add(float64(-e.bytes))
 		e.p, e.fp, e.bytes = p, fp, profileBytes(p)
 		s.bytes.Add(float64(e.bytes))
-		sh.pol.touched(e)
+		sh.lru.moveToFront(e)
 		return
 	}
 	e := &entry{key: key, p: p, fp: fp, bytes: profileBytes(p)}
 	sh.items[key] = e
-	sh.pol.admitted(e)
+	sh.lru.pushFront(e)
 	s.bytes.Add(float64(e.bytes))
 	s.profiles.Add(1)
 	for len(sh.items) > sh.capacity {
-		victim := sh.pol.evict()
-		if victim == nil {
-			break
-		}
+		victim := sh.lru.popTail()
 		delete(sh.items, victim.key)
 		s.bytes.Add(float64(-victim.bytes))
 		s.profiles.Add(-1)
@@ -429,7 +430,7 @@ func (s *Store) Invalidate(key string) bool {
 	if !ok {
 		return false
 	}
-	sh.pol.removed(e)
+	sh.lru.remove(e)
 	delete(sh.items, key)
 	s.bytes.Add(float64(-e.bytes))
 	s.profiles.Add(-1)
@@ -451,15 +452,13 @@ func (s *Store) Len() int {
 // consistency note in internal/obs: monotone per field, not a
 // consistent cut).
 type Stats struct {
-	Hits              uint64
-	Misses            uint64
-	Evictions         uint64
-	Loads             uint64
-	LoadErrors        uint64
-	AdmissionRejected uint64 // loads refused caching by the doorkeeper
-	DoorkeeperAdmits  uint64 // full-shard inserts admitted on second touch
-	Bytes             int64  // approximate cached grid bytes
-	Profiles          int    // cached profile count
+	Hits       uint64
+	Misses     uint64
+	Evictions  uint64
+	Loads      uint64
+	LoadErrors uint64
+	Bytes      int64 // approximate cached grid bytes
+	Profiles   int   // cached profile count
 }
 
 // HitRate is hits/(hits+misses), 0 when no lookups happened.
@@ -473,14 +472,12 @@ func (st Stats) HitRate() float64 {
 // Stats returns the current counter values.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:              s.hits.Value(),
-		Misses:            s.misses.Value(),
-		Evictions:         s.evictions.Value(),
-		Loads:             s.loads.Value(),
-		LoadErrors:        s.loadErrors.Value(),
-		AdmissionRejected: s.admRejected.Value(),
-		DoorkeeperAdmits:  s.doorAdmits.Value(),
-		Bytes:             int64(s.bytes.Value()),
-		Profiles:          int(s.profiles.Value()),
+		Hits:       s.hits.Value(),
+		Misses:     s.misses.Value(),
+		Evictions:  s.evictions.Value(),
+		Loads:      s.loads.Value(),
+		LoadErrors: s.loadErrors.Value(),
+		Bytes:      int64(s.bytes.Value()),
+		Profiles:   int(s.profiles.Value()),
 	}
 }

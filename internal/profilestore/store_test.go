@@ -185,28 +185,45 @@ func TestProfileStoreSharedColdKey(t *testing.T) {
 
 // TestStoreConcurrentMixedKeys hammers many keys from many goroutines
 // with a capacity small enough to force constant eviction — the
-// -race workout for the LRU list and flight table.
+// -race workout for the LRU list and flight table. Every Get is
+// served, the shards' slots sum to exactly Capacity (also when it is
+// not a multiple of Shards), and the store never caches more.
 func TestStoreConcurrentMixedKeys(t *testing.T) {
-	cl := &countingLoader{t: t}
-	s := New(Config{Shards: 4, Capacity: 8, Loader: cl})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("driver-%d", (g+i)%24)
-				p, err := s.Get(key)
-				if err != nil || p == nil {
-					t.Errorf("get %s: %v", key, err)
-					return
-				}
+	for _, tc := range []struct{ shards, capacity, keys int }{
+		{4, 8, 24},
+		{8, 10, 200},
+		{3, 10, 200},
+	} {
+		t.Run(fmt.Sprintf("shards=%d,capacity=%d", tc.shards, tc.capacity), func(t *testing.T) {
+			cl := &countingLoader{t: t}
+			s := New(Config{Shards: tc.shards, Capacity: tc.capacity, Loader: cl})
+			slots := 0
+			for _, sh := range s.shards {
+				slots += sh.capacity
 			}
-		}(g)
-	}
-	wg.Wait()
-	if s.Len() > 8 {
-		t.Errorf("len = %d exceeds capacity", s.Len())
+			if slots != tc.capacity {
+				t.Errorf("shard slots sum to %d, want %d", slots, tc.capacity)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						key := fmt.Sprintf("driver-%d", (g+i)%tc.keys)
+						p, err := s.Get(key)
+						if err != nil || p == nil {
+							t.Errorf("get %s: %v", key, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if n := s.Len(); n > tc.capacity {
+				t.Errorf("len = %d exceeds capacity %d", n, tc.capacity)
+			}
+		})
 	}
 }
 
@@ -299,34 +316,41 @@ func TestStoreMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	for _, series := range []string{
-		`vihot_profilestore_hits_total{policy="lru"} 1`,
-		`vihot_profilestore_misses_total{policy="lru"} 2`,
-		`vihot_profilestore_evictions_total{policy="lru"} 1`,
-		`vihot_profilestore_loads_total{policy="lru"} 2`,
-		`vihot_profilestore_load_errors_total{policy="lru"} 0`,
-		`vihot_profilestore_admission_rejected_total{policy="lru"} 0`,
-		`vihot_profilestore_doorkeeper_admits_total{policy="lru"} 0`,
-		`vihot_profilestore_bytes{policy="lru"}`,
-		`vihot_profilestore_profiles{policy="lru"} 1`,
-		`vihot_profilestore_load_seconds_count{policy="lru"} 2`,
-	} {
+	want := []string{
+		"vihot_profilestore_hits_total 1",
+		"vihot_profilestore_misses_total 2",
+		"vihot_profilestore_evictions_total 1",
+		"vihot_profilestore_loads_total 2",
+		"vihot_profilestore_load_errors_total 0",
+		"vihot_profilestore_bytes ",
+		"vihot_profilestore_profiles 1",
+		"vihot_profilestore_load_seconds_count 2",
+	}
+	for _, series := range want {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition missing %q", series)
 		}
 	}
-	// Two policies share one registry without colliding: the label
-	// keeps the series distinct.
-	s2 := New(Config{Capacity: 1, Shards: 1, Policy: PolicyLFU, Loader: cl, Metrics: reg})
-	if _, err := s2.Get("a"); err != nil {
-		t.Fatal(err)
+	// The series above match only unlabelled (no policy label), and
+	// the store exposes no other family: no admission-filter counters.
+	families := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if !strings.HasPrefix(name, "vihot_profilestore_") {
+			continue
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			name = strings.TrimSuffix(name, suffix)
+		}
+		families[name] = true
 	}
-	buf.Reset()
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	for _, w := range want {
+		name, _, _ := strings.Cut(w, " ")
+		delete(families, strings.TrimSuffix(name, "_count"))
 	}
-	if !strings.Contains(buf.String(), `vihot_profilestore_loads_total{policy="lfu"} 1`) {
-		t.Error("exposition missing the lfu-labelled series")
+	if len(families) != 0 {
+		t.Errorf("unexpected profile-store series: %v", families)
 	}
 }
 

@@ -133,8 +133,7 @@ func LoadProfile(path string) (*Profile, error) { return core.LoadProfile(path) 
 // Profile lifecycle at fleet scale: profiles are immutable once built
 // (see core.Profile's contract), carry a 64-bit content fingerprint
 // (Profile.Fingerprint), and resolve by driver/cabin key through a
-// ProfileStore — a sharded cache with LRU or LFU eviction, optional
-// doorkeeper admission, and singleflight deduplication
+// ProfileStore — a sharded LRU cache with singleflight deduplication
 // of concurrent cold loads, sharing one instance across every session
 // opened for the same driver (SessionManagerConfig.Profiles +
 // SessionManager.OpenByKey / OpenSessionsByKey, ProfileStore.GetMany
@@ -143,11 +142,9 @@ type (
 	// ProfileStore resolves profiles by key through a sharded cache
 	// with singleflight load deduplication.
 	ProfileStore = profilestore.Store
-	// ProfileStoreConfig tunes shard count, capacity, eviction policy,
-	// admission control, loader, and metrics registration.
+	// ProfileStoreConfig tunes shard count, capacity, loader, and
+	// metrics registration.
 	ProfileStoreConfig = profilestore.Config
-	// ProfilePolicy selects the store's eviction policy.
-	ProfilePolicy = profilestore.Policy
 	// ProfileLoader fetches a profile on a cache miss.
 	ProfileLoader = profilestore.Loader
 	// ProfileLoaderFunc adapts a function to ProfileLoader.
@@ -160,20 +157,6 @@ type (
 	// profile key (SessionManager.OpenSessionsByKey).
 	KeyedOpen = serve.KeyedOpen
 )
-
-// Eviction policies for ProfileStoreConfig.Policy.
-const (
-	// ProfilePolicyLRU evicts the least recently used profile
-	// (default; the v1 store's exact behavior).
-	ProfilePolicyLRU = profilestore.PolicyLRU
-	// ProfilePolicyLFU evicts the least frequently used profile,
-	// least-recent among ties.
-	ProfilePolicyLFU = profilestore.PolicyLFU
-)
-
-// ParseProfilePolicy parses "lru" or "lfu"; the empty string selects
-// the LRU default.
-func ParseProfilePolicy(s string) (ProfilePolicy, error) { return profilestore.ParsePolicy(s) }
 
 // NewProfileStore builds a profile store; see ProfileStoreConfig.
 func NewProfileStore(cfg ProfileStoreConfig) *ProfileStore { return profilestore.New(cfg) }
