@@ -243,6 +243,65 @@ func TestConcurrentInvalidateGetHammer(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPoliciesHonorCapacity checks that the store's eviction policy
+// holds every shard to its slots on both insertion paths at once:
+// loader-backed Gets and caller Puts race over more keys than fit.
+// The profiles gauge must agree with the cached count, and a final
+// sweep over every key must leave the store exactly full.
+func TestPoliciesHonorCapacity(t *testing.T) {
+	const (
+		shards   = 3
+		capacity = 10
+		keys     = 60
+	)
+	cl := &countingLoader{t: t}
+	s := New(Config{Shards: shards, Capacity: capacity, Loader: cl})
+	profiles := make([]*core.Profile, keys)
+	for k := range profiles {
+		profiles[k] = synthProfile(t, 2, float64(k))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g*7 + i) % keys
+				key := fmt.Sprintf("driver-%d", k)
+				if g%2 == 0 {
+					if err := s.Put(key, profiles[k]); err != nil {
+						t.Errorf("put %s: %v", key, err)
+						return
+					}
+					continue
+				}
+				if p, err := s.Get(key); err != nil || p == nil {
+					t.Errorf("get %s: %v", key, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, sh := range s.shards {
+		if n := len(sh.items); n > sh.capacity {
+			t.Errorf("shard %d holds %d profiles, capacity %d", i, n, sh.capacity)
+		}
+	}
+	if n, st := s.Len(), s.Stats(); n > capacity || st.Profiles != n {
+		t.Errorf("len = %d, profiles gauge = %d, capacity %d", n, st.Profiles, capacity)
+	}
+
+	for k := 0; k < keys; k++ {
+		if err := s.Put(fmt.Sprintf("driver-%d", k), profiles[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Len(); n != capacity {
+		t.Errorf("after a sweep over %d keys len = %d, want exactly %d", keys, n, capacity)
+	}
+}
+
 // TestHotHitAllocFree pins the hot path's zero-allocation contract in
 // the tier-1 suite: a warm Get and a warm Resolve are one shard lock,
 // one map probe, one list splice and one atomic add.
