@@ -47,7 +47,7 @@ type clusterBenchCell struct {
 }
 
 // handoffBench is the drain-latency distribution: per-session
-// export→restore wall time on a loaded 4-node cluster.
+// close→reopen wall time on a loaded 4-node cluster.
 type handoffBench struct {
 	Sessions  int     `json:"sessions"`
 	Drained   int     `json:"drained"`
@@ -164,9 +164,8 @@ func runClusterBench(path string, seed int64) error {
 		if st.Delivered != uint64(frames) {
 			return clusterBenchCell{}, fmt.Errorf("cluster-%d delivered %d of %d items", n, st.Delivered, frames)
 		}
-		// Estimates are summed from the member managers so the column is
-		// comparable with the direct row (cluster.Stats counts only the
-		// throttled backflow samples).
+		// Estimates are summed from the member managers, the same count
+		// the direct row reads from its one manager.
 		var estimates uint64
 		for _, name := range nodes {
 			estimates += c.Node(name).Manager().Counters().Snapshot().Estimates
@@ -228,8 +227,9 @@ func runClusterBench(path string, seed int64) error {
 }
 
 // runHandoffBench loads a 4-node cluster with sessions mid-stream and
-// drains the busiest member, timing each session's export→restore
-// transfer (flush + quiesce + journal encode + wire + restore).
+// drains the busiest member, timing each session's transfer: the
+// close on the source and the open by key on the new owner, both over
+// the wire.
 func runHandoffBench(profile *core.Profile, phases dsp.Series, shards int) (handoffBench, error) {
 	const sessions = 64
 	warm := phases
@@ -254,8 +254,8 @@ func runHandoffBench(profile *core.Profile, phases dsp.Series, shards int) (hand
 			return handoffBench{}, err
 		}
 	}
-	// Warm every session mid-stream so the drain moves live pipeline
-	// state, not empty shells.
+	// Warm every session mid-stream so the drain closes live
+	// pipelines, not empty shells.
 	batch := make([]serve.Item, 0, sessions)
 	for _, s := range warm {
 		batch = batch[:0]

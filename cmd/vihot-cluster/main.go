@@ -1,63 +1,69 @@
 // Command vihot-cluster runs the distributed serving tier end to end:
 // a scenario-corpus workload replayed through an N-node
 // consistent-hash cluster, with optional mid-run node maintenance
-// (drain) and node crash (kill + stream-time failure detection), a
-// durable handoff journal, and a final cluster-wide ledger.
+// (drain) and node crash (kill + stream-time failure detection), and a
+// final cluster-wide ledger.
 //
 // Usage:
 //
 //	vihot-cluster [-nodes N] [-sessions N] [-scenario name[,name...]]
-//	              [-duration S] [-drain T] [-kill T]
-//	              [-journal cluster.vhj] [-v]
+//	              [-duration S] [-drain T] [-kill T] [-v]
 //
 // -drain T retires the member owning the most sessions at stream time
-// T (orderly handoff: export, restore, graceful stop). -kill T
-// crashes a different loaded member at stream time T; the router
-// notices via heartbeat silence and fails its sessions over, with the
-// destinations COASTING until frames resume.
+// T (orderly handoff: each session closes there and reopens on its new
+// owner, then the member stops gracefully). -kill T crashes a
+// different loaded member at stream time T; the router notices via
+// heartbeat silence and reopens its sessions on the survivors.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"vihot/internal/cluster"
 	"vihot/internal/core"
-	"vihot/internal/journal"
 	"vihot/internal/profilestore"
 	"vihot/internal/scenario"
 	"vihot/internal/serve"
 )
 
 func main() {
-	nodes := flag.Int("nodes", 4, "cluster member count (1-255)")
+	nodes := flag.Int("nodes", 4, "cluster member count")
 	sessions := flag.Int("sessions", 8, "sessions, apportioned round-robin across the scenario mix")
 	names := flag.String("scenario", scenario.Baseline,
 		fmt.Sprintf("comma-separated corpus scenarios (have %v)", scenario.CorpusNames()))
 	duration := flag.Float64("duration", 0, "override scenario duration seconds (0 = corpus defaults)")
 	drainT := flag.Float64("drain", 0, "drain the busiest member at this stream time (0 = never)")
 	killT := flag.Float64("kill", 0, "crash a loaded member at this stream time (0 = never)")
-	journalPath := flag.String("journal", "", "write the handoff journal to this file")
 	verbose := flag.Bool("v", false, "print every handoff event")
 	flag.Parse()
 
-	if err := run(*nodes, *sessions, *names, *duration, *drainT, *killT, *journalPath, *verbose); err != nil {
+	if _, err := run(os.Stdout, *nodes, *sessions, *names, *duration, *drainT, *killT, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "vihot-cluster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, sessions int, names string, duration, drainT, killT float64, journalPath string, verbose bool) error {
+// outcome is what a run ends with: the cluster ledger and every
+// session's final owner.
+type outcome struct {
+	stats  cluster.Stats
+	owners map[string]string
+}
+
+func run(out io.Writer, nodes, sessions int, names string, duration, drainT, killT float64, verbose bool) (outcome, error) {
+	res := outcome{owners: map[string]string{}}
 	// Render the workload: per-scenario profiles, per-session streams,
 	// one merged timeline ordered by stream time.
 	var cfgs []scenario.Config
 	for _, name := range strings.Split(names, ",") {
 		cfg, err := scenario.ByName(strings.TrimSpace(name))
 		if err != nil {
-			return err
+			return res, err
 		}
 		if duration > 0 {
 			cfg.DurationS = duration
@@ -74,7 +80,7 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 		id := fmt.Sprintf("%s-%d", cfg.Name, i)
 		st, err := cfg.BuildStream(id, i)
 		if err != nil {
-			return err
+			return res, err
 		}
 		ids = append(ids, id)
 		keys[id] = cfg.Name
@@ -87,40 +93,24 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 		return timeline[i].Session < timeline[j].Session
 	})
 
-	var jw *journal.Writer
-	if journalPath != "" {
-		f, err := os.Create(journalPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jw, err = journal.New(journal.Config{W: f})
-		if err != nil {
-			return err
-		}
-	}
-
 	members := make([]string, nodes)
 	for i := range members {
 		members[i] = fmt.Sprintf("node-%02d", i)
 	}
-	var events []cluster.HandoffEvent
 	c, err := cluster.New(cluster.Config{
-		Nodes:   members,
-		Journal: jw,
+		Nodes: members,
 		OnHandoff: func(ev cluster.HandoffEvent) {
-			events = append(events, ev)
 			if verbose {
 				kind := "drain"
 				if ev.Failover {
 					kind = "failover"
 				}
-				fmt.Printf("  handoff %-8s %-24s %s -> %s (t=%.2fs)\n", kind, ev.Session, ev.From, ev.To, ev.T)
+				fmt.Fprintf(out, "  handoff %-8s %-24s %s -> %s (t=%.2fs)\n", kind, ev.Session, ev.From, ev.To, ev.T)
 			}
 		},
 	})
 	if err != nil {
-		return err
+		return res, err
 	}
 	defer c.Close()
 
@@ -134,7 +124,7 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 			if !ok {
 				return nil, fmt.Errorf("unknown scenario %q", name)
 			}
-			fmt.Printf("profiling %s ...\n", name)
+			fmt.Fprintf(out, "profiling %s ...\n", name)
 			return cfg.CollectProfile()
 		}),
 	})
@@ -144,10 +134,10 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 	}
 	for i, err := range c.OpenMany(opens, store) {
 		if err != nil {
-			return err
+			return res, err
 		}
 		owner, _ := c.Owner(ids[i])
-		fmt.Printf("open %-24s -> %s\n", ids[i], owner)
+		fmt.Fprintf(out, "open %-24s -> %s\n", ids[i], owner)
 	}
 
 	// The chaos targets are ring facts: drain hits the busiest member,
@@ -180,17 +170,17 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 		if !drained && t >= drainT {
 			drained = true
 			flush()
-			fmt.Printf("t=%.2fs draining %s (%d sessions)\n", t, drainTarget, load[drainTarget])
+			fmt.Fprintf(out, "t=%.2fs draining %s (%d sessions)\n", t, drainTarget, owned(c, ids, drainTarget))
 			if _, err := c.DrainNode(drainTarget); err != nil {
-				return err
+				return res, err
 			}
 		}
 		if !killed && t >= killT {
 			killed = true
 			flush()
-			fmt.Printf("t=%.2fs killing %s (%d sessions)\n", t, killTarget, load[killTarget])
+			fmt.Fprintf(out, "t=%.2fs killing %s (%d sessions)\n", t, killTarget, owned(c, ids, killTarget))
 			if err := c.KillNode(killTarget); err != nil {
-				return err
+				return res, err
 			}
 		}
 		i = j
@@ -198,25 +188,32 @@ func run(nodes, sessions int, names string, duration, drainT, killT float64, jou
 	flush()
 
 	st := c.Stats()
-	fmt.Printf("\ncluster: %d/%d nodes live, %d sessions, %d reassignments\n",
+	res.stats = st
+	fmt.Fprintf(out, "\ncluster: %d/%d nodes live, %d sessions, %d reassignments\n",
 		st.LiveNodes, st.Nodes, st.Sessions, st.Reassignments)
-	fmt.Printf("items:   routed %d = delivered %d + dropped %d (partition %d, node-down %d, unowned %d)\n",
+	fmt.Fprintf(out, "items:   routed %d = delivered %d + dropped %d (partition %d, node-down %d, unowned %d)\n",
 		st.Routed, st.Delivered, st.DroppedPartition+st.DroppedDown+st.DroppedUnowned,
 		st.DroppedPartition, st.DroppedDown, st.DroppedUnowned)
-	fmt.Printf("handoff: %d drain, %d failover, %d journal records (%d dropped)\n",
-		st.DrainHandoffs, st.FailoverHandoffs, st.JournalAppended, st.JournalDropped)
+	fmt.Fprintf(out, "handoff: %d drain, %d failover\n", st.DrainHandoffs, st.FailoverHandoffs)
 	for _, id := range ids {
 		owner, _ := c.Owner(id)
 		h, _ := c.Health(id)
-		fmt.Printf("  %-24s on %-8s %v\n", id, owner, h)
+		res.owners[id] = owner
+		fmt.Fprintf(out, "  %-24s on %-8s %v\n", id, owner, h)
 	}
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			return err
+	return res, nil
+}
+
+// owned counts the sessions a member owns right now — after a drain,
+// that includes the sessions the drain moved onto it.
+func owned(c *cluster.Cluster, ids []string, member string) int {
+	n := 0
+	for _, id := range ids {
+		if owner, _ := c.Owner(id); owner == member {
+			n++
 		}
-		fmt.Printf("journal: %s (%d handoff records)\n", journalPath, len(events))
 	}
-	return nil
+	return n
 }
 
 // itemTime mirrors the router's stream-clock extraction.

@@ -9,7 +9,6 @@
 //	vihot-trace replay  drive.vht [-profile-seed N]
 //	vihot-trace spans   spans.json [-stage NAME]
 //	vihot-trace journal serve.vhj [-repair]
-//	vihot-trace cluster [-nodes a,b,c] handoffs.vhj
 //
 // The spans subcommand digests a latency-span dump written by
 // vihot-serve -trace-out (or scraped from its /trace endpoint): for
@@ -22,11 +21,9 @@
 // reconstructed state: record counts, the stream-time span, the
 // terminal per-session estimates/health/closure, and whether the file
 // ends cleanly or in a torn record; -repair truncates a torn tail.
-//
-// The cluster subcommand reads a cluster coordinator's handoff
-// journal (vihot-cluster -journal): the ordered log of session
-// transfers — drains and failovers, with their routes and state
-// snapshots — plus the same tail diagnostics as journal.
+// Run on a cluster member's journal, it also tells where a session
+// went: a drained session ends in a close record on its old node and
+// continues in its new owner's journal.
 package main
 
 import (
@@ -60,15 +57,13 @@ func main() {
 		spans(os.Args[2:])
 	case "journal":
 		journalCmd(os.Args[2:])
-	case "cluster":
-		clusterCmd(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: vihot-trace record|info|replay|spans|journal|cluster [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: vihot-trace record|info|replay|spans|journal [flags] [file]")
 	os.Exit(2)
 }
 

@@ -95,8 +95,8 @@ func buildChaosWorkload() (*chaosWorkload, error) {
 }
 
 // chaosResult is everything a chaos run produces that the replay test
-// compares: ring assignment, handoff ordering, estimate backflow,
-// final state, counters, and the handoff journal bytes.
+// compares: ring assignment, handoff ordering, per-session estimate
+// counts, final state, counters, and every node's journal bytes.
 type chaosResult struct {
 	openOwners  map[string]string
 	partitioned string
@@ -106,7 +106,8 @@ type chaosResult struct {
 	finalOwners map[string]string
 	health      map[string]serve.Health
 	stats       cluster.Stats
-	journal     []byte
+	journals    map[string][]byte // node → journal bytes
+	jdropped    uint64            // records any node journal shed
 	chaos       faults.ClusterChaosStats
 	memberTotal uint64
 }
@@ -122,29 +123,29 @@ func runChaos(t *testing.T, w *chaosWorkload, deterministic bool) chaosResult {
 		estimates:   map[string]int{},
 		finalOwners: map[string]string{},
 		health:      map[string]serve.Health{},
-	}
-	var buf bytes.Buffer
-	jw, err := journal.New(journal.Config{W: &buf})
-	if err != nil {
-		t.Fatal(err)
+		journals:    map[string][]byte{},
 	}
 
 	nodes := []string{"car-east", "car-north", "car-south", "car-west"}
+	nj := newNodeJournals()
+	defer nj.close()
 	var chaos *faults.ClusterChaos
 	var estMu sync.Mutex
 	cfg := cluster.Config{
 		Nodes:         nodes,
 		Deterministic: deterministic,
-		Journal:       jw,
+		Serve: serve.Config{
+			OnEstimate: func(id string, est core.Estimate) {
+				estMu.Lock()
+				r.estimates[id]++
+				estMu.Unlock()
+			},
+		},
+		NodeServe: nj.nodeServe(t),
 		// The injector is built after the opens (its targets are picked
 		// from the ring), so the filter passes everything until then.
 		Drop: func(m *cluster.Message) bool {
 			return chaos != nil && chaos.Drop(m)
-		},
-		OnEstimate: func(id string, u cluster.EstimateUpdate) {
-			estMu.Lock()
-			r.estimates[id]++
-			estMu.Unlock()
 		},
 		OnHandoff: func(ev cluster.HandoffEvent) {
 			r.events = append(r.events, ev)
@@ -223,10 +224,17 @@ func runChaos(t *testing.T, w *chaosWorkload, deterministic bool) chaosResult {
 	for _, name := range nodes {
 		r.memberTotal += c.Node(name).Manager().Counters().Snapshot().Total()
 	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
+	// Stop the members before their journals: the writers' Close then
+	// flushes everything the managers appended.
+	c.CloseDrain()
+	for _, name := range nodes {
+		if err := nj.writers[name].Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := nj.writers[name].Stats()
+		r.jdropped += st.DroppedFull + st.DroppedClosed
+		r.journals[name] = append([]byte(nil), nj.bufs[name].Bytes()...)
 	}
-	r.journal = append([]byte(nil), buf.Bytes()...)
 	return r
 }
 
@@ -261,7 +269,7 @@ func checkChaosInvariants(t *testing.T, w *chaosWorkload, r chaosResult) {
 			t.Fatalf("%s ended %v, want healthy", id, r.health[id])
 		}
 		if r.estimates[id] == 0 {
-			t.Fatalf("no estimate backflow for %s", id)
+			t.Fatalf("no estimates for %s", id)
 		}
 	}
 	// Cluster-wide conservation: every routed item is delivered or
@@ -280,27 +288,35 @@ func checkChaosInvariants(t *testing.T, w *chaosWorkload, r chaosResult) {
 	if r.memberTotal != st.Delivered {
 		t.Fatalf("members hold %d items, router delivered %d", r.memberTotal, st.Delivered)
 	}
-	// The handoff journal holds exactly the failover exports.
-	if st.JournalAppended != uint64(len(r.events)) || st.JournalDropped != 0 {
-		t.Fatalf("journal counters: %+v", st)
+	// The node journals hold every estimate the sink saw: a failed-over
+	// session's records sit in the dead node's journal up to the crash
+	// and in its new owner's journal after.
+	if r.jdropped != 0 {
+		t.Fatalf("node journals shed %d records", r.jdropped)
 	}
-	res, err := journal.Recover(bytes.NewReader(r.journal), int64(len(r.journal)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sessions) != len(r.events) {
-		t.Fatalf("journal recovers %d sessions, want %d", len(res.Sessions), len(r.events))
-	}
-	for _, ev := range r.events {
-		s, ok := res.Sessions[ev.Session]
-		if !ok || !s.HandedOff || s.Export.Flags&journal.ExportFailover == 0 {
-			t.Fatalf("journal misses failover of %s: %+v", ev.Session, s)
+	journaled, sunk := 0, 0
+	for name, b := range r.journals {
+		res, err := journal.Recover(bytes.NewReader(b), int64(len(b)))
+		if err != nil || res.Diag.Truncated || !res.CleanShutdown {
+			t.Fatalf("%s journal: err=%v diag=%+v clean=%v", name, err, res.Diag, res.CleanShutdown)
 		}
+		journaled += res.Counts[journal.KindEstimate]
+		for _, ev := range r.events {
+			if ev.To == name && res.Sessions[ev.Session] == nil {
+				t.Fatalf("%s journal has no records of failed-over %s", name, ev.Session)
+			}
+		}
+	}
+	for _, n := range r.estimates {
+		sunk += n
+	}
+	if journaled != sunk {
+		t.Fatalf("node journals hold %d estimates, the sink saw %d", journaled, sunk)
 	}
 }
 
 // TestChaosSoak runs the kill+partition scenario in concurrent mode —
-// real shard workers, real backflow goroutines — under whatever the
+// real shard workers, real journal writers — under whatever the
 // harness adds (the Makefile race matrix runs this package with
 // -race).
 func TestChaosSoak(t *testing.T) {
@@ -311,8 +327,8 @@ func TestChaosSoak(t *testing.T) {
 
 // TestChaosDeterministicReplay runs the same scenario twice in
 // deterministic mode and demands bit-identical outcomes: ring
-// assignment, handoff ordering, estimate backflow, final health,
-// every counter, and the handoff journal bytes.
+// assignment, handoff ordering, per-session estimate counts, final
+// health, every counter, and every node's journal bytes.
 func TestChaosDeterministicReplay(t *testing.T) {
 	w := getChaosWorkload(t)
 	a := runChaos(t, w, true)
@@ -329,7 +345,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatalf("handoff ordering not seed-stable:\n%v\n%v", a.events, b.events)
 	}
 	if !reflect.DeepEqual(a.estimates, b.estimates) {
-		t.Fatalf("estimate backflow not seed-stable")
+		t.Fatalf("estimate counts not seed-stable")
 	}
 	if !reflect.DeepEqual(a.finalOwners, b.finalOwners) || !reflect.DeepEqual(a.health, b.health) {
 		t.Fatalf("final state not seed-stable")
@@ -337,7 +353,9 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	if a.stats != b.stats || a.chaos != b.chaos || a.memberTotal != b.memberTotal {
 		t.Fatalf("counters not seed-stable:\n%+v\n%+v", a.stats, b.stats)
 	}
-	if !bytes.Equal(a.journal, b.journal) {
-		t.Fatalf("handoff journal bytes not seed-stable (%d vs %d bytes)", len(a.journal), len(b.journal))
+	for name, ja := range a.journals {
+		if jb := b.journals[name]; !bytes.Equal(ja, jb) {
+			t.Fatalf("%s journal bytes not seed-stable (%d vs %d bytes)", name, len(ja), len(jb))
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"vihot/internal/core"
-	"vihot/internal/journal"
 	"vihot/internal/obs"
 	"vihot/internal/profilestore"
 	"vihot/internal/serve"
@@ -25,9 +24,7 @@ var (
 // Config tunes a Cluster. Nodes is required; everything else has
 // defaults.
 type Config struct {
-	// Nodes is the static membership: unique non-empty member names,
-	// at most 255 (node identity travels in journal export records as
-	// a uint8 index into this list, sorted).
+	// Nodes is the static membership: unique non-empty member names.
 	Nodes []string
 	// VNodes is the virtual-node count per member on the hash ring.
 	// Default 64.
@@ -44,19 +41,14 @@ type Config struct {
 	// stream-time silence).
 	HeartbeatMisses int
 
-	// EstimateEveryS throttles the per-session estimate backflow that
-	// feeds the router's failover directory (default 0.25 stream
-	// seconds). A failover snapshot is therefore at most this stale.
-	EstimateEveryS float64
-
 	// Pipeline configures every session pipeline; the zero value
 	// selects core defaults at the node.
 	Pipeline core.PipelineConfig
 	// Serve is the per-node serving template. The cluster overrides
-	// Profiles (each node gets a replication-fed store) and chains its
-	// estimate backflow in front of any OnEstimateHealth sink; the
-	// rest (Shards, QueueLen, Health, SessionTTLS, RecycleFrames,
-	// Journal, ...) applies to every node as given.
+	// Profiles (each node gets a replication-fed store) and
+	// Deterministic; the rest (Shards, QueueLen, Health, SessionTTLS,
+	// RecycleFrames, OnEstimate, Journal, ...) applies to every node as
+	// given.
 	Serve serve.Config
 	// NodeServe, if set, customizes one node's serve config (per-node
 	// journals, metrics registries); it runs before the cluster's own
@@ -67,11 +59,6 @@ type Config struct {
 	// transport the whole cluster is then one total order of frames.
 	Deterministic bool
 
-	// OnEstimate, if set, receives the sampled estimate backflow (see
-	// EstimateEveryS — not the full estimate stream; hook the serve
-	// template for that). Called from node worker goroutines, serially
-	// per session.
-	OnEstimate func(session string, u EstimateUpdate)
 	// OnHandoff, if set, receives every session transfer, drain and
 	// failover alike, in transfer order. Called with the router lock
 	// held: do not call back into the cluster from it.
@@ -82,11 +69,6 @@ type Config struct {
 	// every message in both directions; must be concurrency-safe.
 	Drop func(m *Message) bool
 
-	// Journal, if set, receives one KindExport record per session
-	// transfer — the cluster coordinator's durable handoff log, read
-	// back by `vihot-trace cluster`. Same non-blocking write-behind
-	// contract as the serve journal.
-	Journal *journal.Writer
 	// Metrics, if set, registers the vihot_cluster_* series there.
 	Metrics *obs.Registry
 	// Transport moves frames; default is an in-process Loopback owned
@@ -103,20 +85,18 @@ type HandoffEvent struct {
 	Session  string
 	Key      string
 	From, To string
-	T        float64 // the snapshot's stream clock (0 if none)
+	T        float64 // the router's stream clock at the handoff (0 before any item)
 	Failover bool
 	// DurNS is the wall duration of the transfer, only when
 	// Config.MeasureHandoff is set.
 	DurNS int64
 }
 
-// dirEntry is the router's view of one session: its current owner,
-// profile key, and the last sampled estimate (the failover snapshot).
+// dirEntry is the router's view of one session: its current owner
+// and the profile key a handoff reopens it under.
 type dirEntry struct {
-	node   string
-	key    string
-	est    EstimateUpdate
-	hasEst bool
+	node string
+	key  string
 }
 
 // Cluster is the coordinator: the ring, the routing directory, the
@@ -125,13 +105,11 @@ type dirEntry struct {
 //
 // Locking: mu guards the ring, membership liveness, the stream clock,
 // and every routing decision; dirMu guards the directory and the
-// heartbeat pong table. dirMu nests inside mu (node handlers invoked
-// synchronously under mu take dirMu for backflow) and never the
-// reverse.
+// heartbeat pong table. dirMu nests inside mu (pongs delivered
+// synchronously under mu take dirMu) and never the reverse.
 type Cluster struct {
 	cfg           Config
 	names         []string // sorted membership
-	idx           map[string]uint8
 	transport     Transport
 	ownsTransport bool
 	metrics       clusterMetrics
@@ -159,17 +137,11 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, ErrNoMembers
 	}
-	if len(cfg.Nodes) > 255 {
-		return nil, fmt.Errorf("cluster: %d members exceeds the uint8 node index", len(cfg.Nodes))
-	}
 	if cfg.HeartbeatS <= 0 {
 		cfg.HeartbeatS = 0.5
 	}
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 4
-	}
-	if cfg.EstimateEveryS <= 0 {
-		cfg.EstimateEveryS = 0.25
 	}
 	if cfg.Pipeline == (core.PipelineConfig{}) {
 		// A fully zero pipeline config means "core defaults". Passing
@@ -185,7 +157,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
 		names:    ring.Members(),
-		idx:      make(map[string]uint8),
 		ring:     ring,
 		nodes:    make(map[string]*Node),
 		live:     make(map[string]bool),
@@ -194,8 +165,7 @@ func New(cfg Config) (*Cluster, error) {
 		lastPong: make(map[string]float64),
 		metrics:  newClusterMetrics(cfg.Metrics),
 	}
-	for i, n := range c.names {
-		c.idx[n] = uint8(i)
+	for _, n := range c.names {
 		if len(n) > maxNodeName {
 			return nil, fmt.Errorf("cluster: member name %q too long", n)
 		}
@@ -210,10 +180,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for _, name := range c.names {
 		node := &Node{
-			name:     name,
-			c:        c,
-			store:    profilestore.New(profilestore.Config{}),
-			lastBack: make(map[string]float64),
+			name:  name,
+			c:     c,
+			store: profilestore.New(profilestore.Config{}),
 		}
 		scfg := cfg.Serve
 		if cfg.NodeServe != nil {
@@ -221,8 +190,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		scfg.Deterministic = cfg.Deterministic
 		scfg.Profiles = node.store
-		node.userSink = scfg.OnEstimateHealth
-		scfg.OnEstimateHealth = node.onEstimate
 		node.pooled = scfg.RecycleFrames
 		node.mgr = serve.New(scfg)
 		node.alive.Store(true)
@@ -238,38 +205,24 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// handleFrame is the router's transport handler: pongs and estimate
-// backflow. It takes only dirMu — node handlers run synchronously
-// under mu on the loopback transport, and the backflow they trigger
-// must not re-enter the routing lock.
+// handleFrame is the router's transport handler: heartbeat pongs. It
+// takes only dirMu — node handlers run synchronously under mu on the
+// loopback transport, and the pong they send must not re-enter the
+// routing lock.
 func (c *Cluster) handleFrame(frame []byte) error {
 	m, err := DecodeMessage(frame)
 	if err != nil {
 		return err
 	}
-	switch m.Kind {
-	case MsgPong:
-		c.dirMu.Lock()
-		if m.T > c.lastPong[m.From] {
-			c.lastPong[m.From] = m.T
-		}
-		c.dirMu.Unlock()
-		return nil
-	case MsgEstimate:
-		c.dirMu.Lock()
-		if e := c.dir[m.Session]; e != nil {
-			e.est = m.Est
-			e.hasEst = true
-		}
-		c.dirMu.Unlock()
-		c.metrics.estimates.Add(1)
-		if c.cfg.OnEstimate != nil {
-			c.cfg.OnEstimate(m.Session, m.Est)
-		}
-		return nil
-	default:
+	if m.Kind != MsgPong {
 		return fmt.Errorf("%w: router got kind %v", ErrBadMessage, m.Kind)
 	}
+	c.dirMu.Lock()
+	if m.T > c.lastPong[m.From] {
+		c.lastPong[m.From] = m.T
+	}
+	c.dirMu.Unlock()
+	return nil
 }
 
 // send encodes and delivers one router→node message. Caller holds mu
@@ -411,7 +364,6 @@ func (c *Cluster) CloseSession(session string) error {
 	if e == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, session)
 	}
-	c.nodes[e.node].forgetBackflow(session)
 	return c.send(&Message{Kind: MsgClose, To: e.node, Session: session})
 }
 
@@ -576,13 +528,10 @@ func (c *Cluster) Stats() Stats {
 		DroppedDown:      m.droppedDown.Value(),
 		DroppedUnowned:   m.droppedUnowned.Value(),
 		MessagesSent:     m.messagesSent.Value(),
-		Estimates:        m.estimates.Value(),
 		HeartbeatMisses:  m.heartbeatMisses.Value(),
 		Reassignments:    m.reassignments.Value(),
 		DrainHandoffs:    m.handoffDrain.Value(),
 		FailoverHandoffs: m.handoffFailover.Value(),
-		JournalAppended:  m.journalAppended.Value(),
-		JournalDropped:   m.journalDropped.Value(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vihot/internal/cluster"
+	"vihot/internal/core"
 	"vihot/internal/journal"
 	"vihot/internal/serve"
 )
@@ -31,15 +32,17 @@ func newTestCluster(t *testing.T, f *fixture, cfg cluster.Config) *cluster.Clust
 }
 
 // TestClusterRouting is the happy path: every fixture session routed
-// to its ring owner over the wire, estimates flowing back, books
-// balanced, everyone HEALTHY.
+// to its ring owner over the wire, estimates flowing, books balanced,
+// everyone HEALTHY.
 func TestClusterRouting(t *testing.T) {
 	f := getFixture(t)
 	estBySession := map[string]int{}
 	c := newTestCluster(t, f, cluster.Config{
 		Nodes: []string{"n0", "n1", "n2"},
-		OnEstimate: func(id string, u cluster.EstimateUpdate) {
-			estBySession[id]++
+		Serve: serve.Config{
+			OnEstimate: func(id string, est core.Estimate) {
+				estBySession[id]++
+			},
 		},
 	})
 	defer c.Close()
@@ -76,13 +79,13 @@ func TestClusterRouting(t *testing.T) {
 			t.Fatalf("%s (on %s): health %v, want healthy", id, owner, h)
 		}
 		if estBySession[id] == 0 {
-			t.Fatalf("no estimate backflow for %s", id)
+			t.Fatalf("no estimates for %s", id)
 		}
 	}
 	if len(owners) < 2 {
 		t.Fatalf("all sessions landed on one node: %v", owners)
 	}
-	if st.Estimates == 0 || st.MessagesSent == 0 {
+	if st.MessagesSent == 0 {
 		t.Fatalf("no wire traffic recorded: %+v", st)
 	}
 }
@@ -127,21 +130,64 @@ func TestClusterAdmissionAndErrors(t *testing.T) {
 	}
 }
 
-// TestClusterDrainHandoff drains a loaded node mid-stream: its
-// sessions must move to survivors with their state (COASTING on
-// arrival, profile present), the handoff journal must hold exactly
-// the transfer records, and the stream must recover end to end.
-func TestClusterDrainHandoff(t *testing.T) {
-	f := getFixture(t)
-	var buf bytes.Buffer
-	jw, err := journal.New(journal.Config{W: &buf})
+// nodeJournals gives every member its own in-memory journal through
+// NodeServe, the per-node durable log a warm restart would recover.
+// The queue holds a whole test run's records per node, so no journal
+// sheds and the bytes are a pure function of the workload.
+type nodeJournals struct {
+	bufs    map[string]*bytes.Buffer
+	writers map[string]*journal.Writer
+}
+
+func newNodeJournals() *nodeJournals {
+	return &nodeJournals{bufs: map[string]*bytes.Buffer{}, writers: map[string]*journal.Writer{}}
+}
+
+func (nj *nodeJournals) nodeServe(t *testing.T) func(string, serve.Config) serve.Config {
+	return func(name string, base serve.Config) serve.Config {
+		nj.bufs[name] = &bytes.Buffer{}
+		jw, err := journal.New(journal.Config{W: nj.bufs[name], QueueLen: 1 << 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nj.writers[name] = jw
+		base.Journal = jw
+		return base
+	}
+}
+
+// recover closes one member's journal and replays it.
+func (nj *nodeJournals) recover(t *testing.T, name string) *journal.RecoverResult {
+	t.Helper()
+	if err := nj.writers[name].Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := nj.bufs[name].Bytes()
+	res, err := journal.Recover(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func (nj *nodeJournals) close() {
+	for _, jw := range nj.writers {
+		_ = jw.Close()
+	}
+}
+
+// TestClusterDrainHandoff drains a loaded node mid-stream: its
+// sessions must close on the source (its journal records the close)
+// and reopen on survivors, HEALTHY on arrival with the profile
+// present, and the stream must carry on end to end.
+func TestClusterDrainHandoff(t *testing.T) {
+	f := getFixture(t)
+	nj := newNodeJournals()
+	defer nj.close()
 	var handoffs []cluster.HandoffEvent
 	c := newTestCluster(t, f, cluster.Config{
-		Nodes:   []string{"n0", "n1", "n2"},
-		Journal: jw,
+		Nodes:     []string{"n0", "n1", "n2"},
+		NodeServe: nj.nodeServe(t),
 		OnHandoff: func(ev cluster.HandoffEvent) {
 			handoffs = append(handoffs, ev)
 		},
@@ -166,30 +212,33 @@ func TestClusterDrainHandoff(t *testing.T) {
 	if len(events) != len(moved) {
 		t.Fatalf("drained %d sessions, node owned %d", len(events), len(moved))
 	}
-	for _, ev := range events {
+	for i, ev := range events {
 		if ev.From != victim || ev.To == victim || !moved[ev.Session] || ev.Failover {
 			t.Fatalf("bad drain event %+v", ev)
 		}
-		if ev.T <= 0 {
-			t.Fatalf("drain export carries no clock: %+v", ev)
+		if i > 0 && ev.Session <= events[i-1].Session {
+			t.Fatalf("drain order not sorted: %q after %q", ev.Session, events[i-1].Session)
 		}
-		// The arrival contract: restored sessions coast until frames
-		// resume, on a node that has the replicated profile.
-		if h, ok := c.Health(ev.Session); !ok || h != serve.Coasting {
-			t.Fatalf("%s after drain: health %v, want coasting", ev.Session, h)
+		if ev.T <= 0 {
+			t.Fatalf("drain event carries no router clock: %+v", ev)
+		}
+		// The arrival contract: a reopened session is a fresh one —
+		// open and HEALTHY on a node that has the replicated profile.
+		if h, ok := c.Health(ev.Session); !ok || h != serve.Healthy {
+			t.Fatalf("%s after drain: health %v (open %v), want healthy", ev.Session, h, ok)
 		}
 		if o, _ := c.Owner(ev.Session); o != ev.To {
 			t.Fatalf("%s owner %s, event says %s", ev.Session, o, ev.To)
 		}
 		if _, ok := c.Node(ev.To).Manager().Profile(ev.Session); !ok {
-			t.Fatalf("%s restored without a profile on %s", ev.Session, ev.To)
+			t.Fatalf("%s reopened without a profile on %s", ev.Session, ev.To)
 		}
 	}
 	if len(handoffs) != len(events) {
 		t.Fatalf("OnHandoff saw %d transfers, DrainNode returned %d", len(handoffs), len(events))
 	}
 
-	// The rest of the stream flows to the survivors and recovers.
+	// The rest of the stream flows to the survivors.
 	pushTimeline(c, f.timeline[half:])
 	c.Flush()
 	for _, id := range f.sessions {
@@ -205,25 +254,119 @@ func TestClusterDrainHandoff(t *testing.T) {
 		t.Fatalf("handoff counters: %+v", st)
 	}
 
-	// The coordinator journal holds exactly the drain's export records.
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := journal.Recover(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sessions) != len(events) {
-		t.Fatalf("journal holds %d sessions, want %d", len(res.Sessions), len(events))
+	// The source journal closes every drained session, so a warm
+	// restart of the drained node brings none of them back; their new
+	// owners' journals carry them on.
+	src := nj.recover(t, victim)
+	if !src.CleanShutdown {
+		t.Fatalf("%s journal has no clean-shutdown trailer", victim)
 	}
 	for _, ev := range events {
-		s, ok := res.Sessions[ev.Session]
-		if !ok || !s.HandedOff || s.Export.Kind != journal.KindExport {
-			t.Fatalf("journal misses handoff of %s: %+v", ev.Session, s)
+		s, ok := src.Sessions[ev.Session]
+		if !ok || !s.Closed || s.Reaped {
+			t.Fatalf("source journal: %s recovers %+v, want closed", ev.Session, s)
 		}
-		if s.Export.Flags&journal.ExportFailover != 0 {
-			t.Fatalf("drain journaled as failover: %+v", s.Export)
+	}
+	if live := src.Live(); len(live) != 0 {
+		t.Fatalf("source journal recovers live sessions %v", live)
+	}
+	c.CloseDrain()
+	dests := map[string]*journal.RecoverResult{}
+	for _, ev := range events {
+		if dests[ev.To] == nil {
+			dests[ev.To] = nj.recover(t, ev.To)
 		}
+		if s := dests[ev.To].Sessions[ev.Session]; s == nil || s.Closed || !s.HasEstimate {
+			t.Fatalf("%s journal: %s recovers %+v, want live with estimates", ev.To, ev.Session, s)
+		}
+	}
+}
+
+// TestClusterHandoffEqualsFreshOpen pins the handoff contract: a
+// session moved by a drain or a failover produces, on its new owner,
+// exactly the estimates of a standalone manager that opens the
+// session fresh and receives the same post-handoff items.
+func TestClusterHandoffEqualsFreshOpen(t *testing.T) {
+	f := getFixture(t)
+	for _, failover := range []bool{false, true} {
+		name := "drain"
+		if failover {
+			name = "failover"
+		}
+		t.Run(name, func(t *testing.T) {
+			byNode := map[string]map[string][]core.Estimate{}
+			pushed, at := 0, -1
+			id := f.sessions[0]
+			c := newTestCluster(t, f, cluster.Config{
+				Nodes: []string{"n0", "n1", "n2"},
+				NodeServe: func(node string, base serve.Config) serve.Config {
+					byNode[node] = map[string][]core.Estimate{}
+					base.OnEstimate = func(sess string, est core.Estimate) {
+						byNode[node][sess] = append(byNode[node][sess], est)
+					}
+					return base
+				},
+				OnHandoff: func(ev cluster.HandoffEvent) {
+					if ev.Session == id {
+						at = pushed
+					}
+				},
+			})
+			defer c.Close()
+			victim, _ := c.Owner(id)
+			half := splitAt(f.timeline, fixDurationS/2)
+			// One item per push, so the handoff instant is an exact
+			// timeline index.
+			for _, it := range f.timeline {
+				if pushed == half {
+					var err error
+					if failover {
+						err = c.KillNode(victim)
+					} else {
+						_, err = c.DrainNode(victim)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.Push(it)
+				pushed++
+			}
+			c.Flush()
+			if at < 0 {
+				t.Fatal("the session never moved")
+			}
+			if failover {
+				// The detector fires after routing the push that
+				// crossed its deadline, so that item still went to
+				// the dead node.
+				at++
+			}
+			dest, _ := c.Owner(id)
+
+			var want []core.Estimate
+			ref := serve.New(serve.Config{Deterministic: true, OnEstimate: func(_ string, est core.Estimate) {
+				want = append(want, est)
+			}})
+			defer ref.Close()
+			if err := ref.Open(id, f.profile, core.DefaultPipelineConfig()); err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range f.timeline[at:] {
+				if it.Session == id {
+					ref.Push(it)
+				}
+			}
+			got := byNode[dest][id]
+			if len(want) == 0 || len(got) != len(want) {
+				t.Fatalf("%s on %s: %d estimates, fresh open gives %d", id, dest, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s estimate %d = %+v, fresh open gives %+v", id, i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

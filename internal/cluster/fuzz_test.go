@@ -11,11 +11,19 @@ import (
 // proxy — an intermediary can decode, inspect, and re-frame without
 // changing what the receiver sees.
 func FuzzClusterDecode(f *testing.F) {
+	var frames [][]byte
 	for _, m := range wireMessages() {
 		frame, err := EncodeMessage(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
+		frames = append(frames, frame)
+	}
+	// The retired kinds, with the bodies they used to carry, sit at the
+	// format's edge: the decoder must reject them and their mutations
+	// must not slip through as some live kind.
+	frames = append(frames, retiredFrames(f)...)
+	for _, frame := range frames {
 		f.Add(append([]byte(nil), frame...))
 		// Systematic truncations and corruptions of each seed.
 		for _, n := range []int{0, 4, 19, 20, 21, len(frame) - 1} {

@@ -3,34 +3,28 @@ package cluster
 import (
 	"fmt"
 	"time"
-
-	"vihot/internal/journal"
 )
 
-// The handoff protocol (DESIGN.md §14). Two paths move a session:
+// The handoff protocol (DESIGN.md §14). A handoff is a cold reopen:
+// the session's new ring owner opens it by key over the already
+// replicated profile, exactly as a first Open would. No session state
+// travels: the tracker window and position lock cannot, so a moved
+// session relocks like a fresh one either way, and carrying the clock,
+// health and last estimate changed no pipeline estimate when measured.
 //
-// Drain (orderly): the source node is flushed, every session exported
-// through serve.ExportSessions (the quiesced snapshot: clock, health,
-// last estimate), each export journaled and sent as a MsgRestore to
-// the session's new owner under the shrunken ring. The source manager
-// then CloseDrains — its conservation identity closes exactly.
+// Drain (orderly): the member leaves the ring and is flushed; then each
+// of its sessions is closed on it (its journal records KindClose, the
+// durable mark that the session left) and reopened on its new owner.
+// The emptied manager then CloseDrains, so its conservation identity
+// closes exactly.
 //
-// Failover (detected): the dead node cannot be asked for anything, so
-// the carried estimate comes from the router's estimate-backflow
-// directory — usually at most EstimateEveryS stale, but arbitrarily
-// stale if the dead node died with a processing backlog or while its
-// pipelines were quarantined (steering events emit nothing). The
-// record's clock is therefore NOT the estimate's time but the
-// router's own stream clock at detection: the restored session must
-// resume at the stream position the fleet has actually reached, or
-// serve's far-future admission guard would reject the entire resumed
-// stream against a stale clock and the session could never recover.
-// The record is marked ExportFailover, and the node is fenced (hard
-// Close) before the ring is rebuilt, so a partitioned-but-alive
-// manager can never keep serving sessions the cluster has reassigned.
+// Failover (detected): the dead node is fenced (hard Close) before the
+// ring is rebuilt, so a partitioned-but-alive manager can never keep
+// serving sessions the cluster has reassigned, and each of its
+// sessions is reopened on its new owner from the directory's key.
 //
-// Either way the destination restores through serve.RestoreSession
-// and the session re-enters service COASTING until its frames resume.
+// Either way the session resumes HEALTHY on its first frames; the
+// items lost in between are the same gap a fresh session would see.
 
 // maybeHeartbeat runs the stream-time failure detector. Caller holds
 // mu; the clock has just advanced. Pings go out every HeartbeatS of
@@ -77,8 +71,7 @@ func (c *Cluster) maybeHeartbeat() {
 }
 
 // failover declares a node dead: fence it, rebuild the ring, and
-// reassign its sessions from the router's directory snapshots. Caller
-// holds mu.
+// reopen its sessions on their new owners. Caller holds mu.
 func (c *Cluster) failover(name string) {
 	node := c.nodes[name]
 	// Fence before reassigning: the manager is hard-closed so a
@@ -98,49 +91,7 @@ func (c *Cluster) failover(name string) {
 	c.metrics.ringPoints.Set(float64(ring.Points()))
 
 	for _, id := range c.sortedDirSessions(name) {
-		c.dirMu.Lock()
-		e := c.dir[id]
-		var snap dirEntry
-		if e != nil {
-			snap = *e
-		}
-		c.dirMu.Unlock()
-		if e == nil {
-			continue
-		}
-		dest := c.ring.Owner(id)
-		if dest == "" {
-			continue // last node died; sessions are simply lost
-		}
-		rec := journal.Record{
-			Kind:    journal.KindExport,
-			Session: id,
-			From:    c.idx[name],
-			To:      c.idx[dest],
-			Flags:   journal.ExportFailover,
-		}
-		// The restored clock is the detection-time stream clock, never
-		// the (possibly much older) estimate time: resumed items arrive
-		// at the stream position the router is at now, and seeding an
-		// older clock risks tripping the destination's far-future
-		// admission guard on every one of them.
-		if c.haveClock {
-			rec.T = c.clock
-			rec.Flags |= journal.ExportHasClock
-		} else if snap.hasEst {
-			rec.T = snap.est.Time
-			rec.Flags |= journal.ExportHasClock
-		}
-		if snap.hasEst {
-			rec.Flags |= journal.ExportHasEstimate
-			rec.EstT = snap.est.Time
-			rec.Yaw = snap.est.Yaw
-			rec.Position = snap.est.Position
-			rec.Source = snap.est.Source
-			rec.MatchDist = snap.est.MatchDist
-			rec.Health = snap.est.Health
-		}
-		c.completeHandoff(id, snap.key, name, dest, rec, true, 0)
+		c.reopen(id, name, true, time.Time{})
 	}
 }
 
@@ -155,52 +106,51 @@ func (c *Cluster) liveCount() int {
 	return n
 }
 
-// completeHandoff journals one export, restores it on the
-// destination, and updates the directory. Caller holds mu. A restore
-// the transport (or the fault filter) eats is not retried: the
-// directory still moves, so the session's items target the new owner
-// and surface there as DroppedUnknown — visible, not silent.
-func (c *Cluster) completeHandoff(id, key, from, dest string, rec journal.Record, failover bool, durNS int64) {
-	c.journalExport(rec)
-	_ = c.send(&Message{Kind: MsgRestore, To: dest, Session: id, Key: key, Export: rec})
+// reopen moves one directory session off from: it opens the session
+// by key on its new ring owner and repoints the directory. Caller
+// holds mu. An open the transport (or the fault filter) eats is not
+// retried: the directory still moves, so the session's items target
+// the new owner and surface there as DroppedUnknown — visible, not
+// silent. t0, when set, is the wall start DurNS is measured from.
+func (c *Cluster) reopen(id, from string, failover bool, t0 time.Time) (HandoffEvent, bool) {
 	c.dirMu.Lock()
-	if e := c.dir[id]; e != nil {
-		e.node = dest
+	e := c.dir[id]
+	c.dirMu.Unlock()
+	dest := c.ring.Owner(id)
+	if e == nil || dest == "" {
+		return HandoffEvent{}, false // closed meanwhile, or no member left
 	}
+	key := e.key // set at open, never written again
+	_ = c.send(&Message{Kind: MsgOpen, To: dest, Session: id, Key: key})
+	c.dirMu.Lock()
+	e.node = dest
 	c.dirMu.Unlock()
 	if failover {
 		c.metrics.handoffFailover.Add(1)
 	} else {
 		c.metrics.handoffDrain.Add(1)
 	}
+	ev := HandoffEvent{Session: id, Key: key, From: from, To: dest, Failover: failover}
+	if c.haveClock {
+		ev.T = c.clock
+	}
+	if !t0.IsZero() {
+		// The open lands synchronously on the loopback transport, so
+		// the stamp spans close-to-reopened.
+		ev.DurNS = time.Since(t0).Nanoseconds()
+	}
 	if c.cfg.OnHandoff != nil {
-		c.cfg.OnHandoff(HandoffEvent{
-			Session: id, Key: key, From: from, To: dest,
-			T:        rec.T,
-			Failover: failover,
-			DurNS:    durNS,
-		})
+		c.cfg.OnHandoff(ev)
 	}
-}
-
-// journalExport appends one handoff record to the coordinator journal.
-func (c *Cluster) journalExport(rec journal.Record) {
-	if c.cfg.Journal == nil {
-		return
-	}
-	if c.cfg.Journal.Append(rec) {
-		c.metrics.journalAppended.Add(1)
-	} else {
-		c.metrics.journalDropped.Add(1)
-	}
+	return ev, true
 }
 
 // DrainNode performs node maintenance: the member leaves the ring,
-// its sessions are exported (flushed, quiesced, journal-backed) and
-// restored onto their new owners, and the empty manager shuts down
-// gracefully. Returns the transfers in session order. The caller must
-// not push concurrently with a drain in deterministic mode; in
-// concurrent mode pushes serialize behind the router lock as usual.
+// is flushed, and each of its sessions is closed there and reopened on
+// its new owner; then the empty manager shuts down gracefully. Returns
+// the transfers in session order. The caller must not push
+// concurrently with a drain in deterministic mode; in concurrent mode
+// pushes serialize behind the router lock as usual.
 func (c *Cluster) DrainNode(name string) ([]HandoffEvent, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -219,48 +169,27 @@ func (c *Cluster) DrainNode(name string) ([]HandoffEvent, error) {
 		return nil, err
 	}
 	// Leave the ring first: from here no new session can land on the
-	// draining node (pushes wait on mu, so no items race the export).
+	// draining node (pushes wait on mu, so no items race the drain).
 	c.ring = ring
 	c.metrics.reassignments.Add(1)
 	c.metrics.ringPoints.Set(float64(ring.Points()))
 
-	recs := node.exportAll()
-	events := make([]HandoffEvent, 0, len(recs))
-	for _, rec := range recs {
+	// Flush so every item already routed here is processed before its
+	// session closes.
+	node.mgr.Flush()
+	ids := c.sortedDirSessions(name)
+	events := make([]HandoffEvent, 0, len(ids))
+	for _, id := range ids {
 		var t0 time.Time
 		if c.cfg.MeasureHandoff {
 			t0 = time.Now()
 		}
-		id := rec.Session
-		c.dirMu.Lock()
-		e := c.dir[id]
-		key := ""
-		if e != nil {
-			key = e.key
+		_ = c.send(&Message{Kind: MsgClose, To: name, Session: id})
+		if ev, ok := c.reopen(id, name, false, t0); ok {
+			events = append(events, ev)
 		}
-		c.dirMu.Unlock()
-		if e == nil {
-			// A session the node holds but the router never opened (or
-			// already closed): nothing to route to it, nothing to move.
-			continue
-		}
-		dest := c.ring.Owner(id)
-		if dest == "" {
-			continue
-		}
-		rec.From = c.idx[name]
-		rec.To = c.idx[dest]
-		node.forgetBackflow(id)
-		c.completeHandoff(id, key, name, dest, rec, false, 0)
-		var durNS int64
-		if c.cfg.MeasureHandoff {
-			// The restore lands synchronously on the loopback transport,
-			// so the stamp spans export-to-restored.
-			durNS = time.Since(t0).Nanoseconds()
-		}
-		events = append(events, HandoffEvent{Session: id, Key: key, From: name, To: dest, T: rec.T, DurNS: durNS})
 	}
-	// The node is empty (every session exported) — a graceful stop
+	// The node is empty (every session closed) — a graceful stop
 	// closes its books exactly.
 	node.alive.Store(false)
 	c.live[name] = false

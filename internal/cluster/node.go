@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"vihot/internal/core"
-	"vihot/internal/journal"
 	"vihot/internal/profilestore"
 	"vihot/internal/serve"
 )
@@ -34,17 +32,6 @@ type Node struct {
 	// datagrams into pool-owned frames only when the manager will
 	// return them to the pool.
 	pooled bool
-	// userSink is the OnEstimateHealth the serve template (or the
-	// NodeServe hook) asked for; the cluster's backflow wrapper chains
-	// in front of it.
-	userSink func(session string, est core.Estimate, h serve.Health, confidence float64)
-
-	// backMu guards the per-session stream times of the last estimate
-	// backflow sent, for the EstimateEveryS throttle. Updates are
-	// serial per session (serve's sink contract), concurrent across
-	// sessions.
-	backMu   sync.Mutex
-	lastBack map[string]float64
 }
 
 // Name returns the member name.
@@ -82,12 +69,6 @@ func (n *Node) handle(m *Message) error {
 			return fmt.Errorf("cluster: node %s: replicated profile %q: %w", n.name, m.Key, err)
 		}
 		return n.store.Put(m.Key, p)
-	case MsgRestore:
-		p, err := n.store.Get(m.Key)
-		if err != nil {
-			return fmt.Errorf("cluster: node %s: restore %q: %w", n.name, m.Session, err)
-		}
-		return n.mgr.RestoreSession(m.Session, p, n.c.cfg.Pipeline, m.Export)
 	case MsgClose:
 		return n.mgr.CloseSession(m.Session)
 	case MsgPing:
@@ -98,12 +79,12 @@ func (n *Node) handle(m *Message) error {
 }
 
 // send encodes and sends one node→router message through the
-// transport (and the fault filter). Runs on serve worker goroutines,
-// so it allocates its own encode buffer.
+// transport (and the fault filter). It allocates its own encode
+// buffer: the router's scratch belongs to the routing lock.
 func (n *Node) send(m *Message) error {
 	if drop := n.c.cfg.Drop; drop != nil && drop(m) {
-		// Node→router frames carry no items; a partitioned pong or
-		// estimate just stales the router's tables until the heal.
+		// Node→router frames carry no items; a partitioned pong just
+		// stales the router's pong table until the heal.
 		return nil
 	}
 	frame, err := EncodeMessage(nil, m)
@@ -112,53 +93,4 @@ func (n *Node) send(m *Message) error {
 	}
 	n.c.metrics.messagesSent.Add(1)
 	return n.c.transport.Send("", frame)
-}
-
-// onEstimate is the node's OnEstimateHealth hook: throttled estimate
-// backflow to the router's failover directory, chained in front of
-// any user sink configured on the serve template.
-func (n *Node) onEstimate(session string, est core.Estimate, h serve.Health, conf float64) {
-	every := n.c.cfg.EstimateEveryS
-	n.backMu.Lock()
-	last, seen := n.lastBack[session]
-	if due := !seen || est.Time-last >= every; due {
-		n.lastBack[session] = est.Time
-		n.backMu.Unlock()
-		// Best-effort: a dropped backflow only stales the failover
-		// directory by one throttle interval.
-		_ = n.send(&Message{
-			Kind:    MsgEstimate,
-			From:    n.name,
-			Session: session,
-			T:       est.Time,
-			Est: EstimateUpdate{
-				Time:      est.Time,
-				Yaw:       est.Yaw,
-				MatchDist: est.MatchDist,
-				Position:  int32(est.Position),
-				Source:    uint8(est.Source),
-				Health:    uint8(h),
-			},
-		})
-	} else {
-		n.backMu.Unlock()
-	}
-	if n.userSink != nil {
-		n.userSink(session, est, h, conf)
-	}
-}
-
-// forgetBackflow drops a session's throttle anchor after it leaves
-// the node.
-func (n *Node) forgetBackflow(session string) {
-	n.backMu.Lock()
-	delete(n.lastBack, session)
-	n.backMu.Unlock()
-}
-
-// exportAll quiesces the node and snapshots every session, in sorted
-// order (serve.ExportSessions' contract).
-func (n *Node) exportAll() []journal.Record {
-	n.mgr.Flush()
-	return n.mgr.ExportSessions()
 }

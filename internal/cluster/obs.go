@@ -18,13 +18,10 @@ type clusterMetrics struct {
 	droppedUnowned   *obs.Counter // items for sessions the router never opened
 
 	messagesSent    *obs.Counter
-	estimates       *obs.Counter // backflow updates received
 	heartbeatMisses *obs.Counter
 	reassignments   *obs.Counter // ring rebuilds (drain or failover)
 	handoffDrain    *obs.Counter
 	handoffFailover *obs.Counter
-	journalAppended *obs.Counter
-	journalDropped  *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry) clusterMetrics {
@@ -52,13 +49,10 @@ func newClusterMetrics(reg *obs.Registry) clusterMetrics {
 		droppedUnowned:   dropped("unowned"),
 
 		messagesSent:    reg.Counter("vihot_cluster_messages_sent_total", "cluster frames sent"),
-		estimates:       reg.Counter("vihot_cluster_estimates_total", "estimate backflow updates received"),
 		heartbeatMisses: reg.Counter("vihot_cluster_heartbeat_misses_total", "heartbeat intervals with no pong"),
 		reassignments:   reg.Counter("vihot_cluster_reassignments_total", "ring membership rebuilds"),
 		handoffDrain:    handoffs("drain"),
 		handoffFailover: handoffs("failover"),
-		journalAppended: reg.Counter("vihot_cluster_journal_appended_total", "handoff records journaled"),
-		journalDropped:  reg.Counter("vihot_cluster_journal_dropped_total", "handoff records shed by the journal queue"),
 	}
 }
 
@@ -77,11 +71,8 @@ type Stats struct {
 	DroppedUnowned   uint64
 
 	MessagesSent     uint64
-	Estimates        uint64
 	HeartbeatMisses  uint64
 	Reassignments    uint64
 	DrainHandoffs    uint64
 	FailoverHandoffs uint64
-	JournalAppended  uint64
-	JournalDropped   uint64
 }

@@ -4,9 +4,8 @@
 // wire envelope. The coordinator routes opens and items to the owning
 // node, replicates driver profiles to every member on open, detects
 // node death with a stream-time heartbeat, and moves sessions between
-// nodes — journal-backed exports on an orderly drain, router-cache
-// reconstructions on a failover — with the destination session
-// entering COASTING until its frames resume (DESIGN.md §14).
+// nodes on an orderly drain or a failover by reopening each one by key
+// on its new owner (DESIGN.md §14).
 //
 // Everything is clocked on stream time, never wall time: routing, the
 // failure detector, and the handoff protocol behave identically in

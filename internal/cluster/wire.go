@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"vihot/internal/envelope"
-	"vihot/internal/journal"
 	"vihot/internal/serve"
 	"vihot/internal/wifi"
 )
@@ -36,12 +35,6 @@ import (
 //	          than inventing a second frame encoding
 //	profile:  the profile's own persisted form ("ViHP", PR 4), opaque
 //	          here, validated when the receiving node applies it
-//	restore:  one framed journal record ("ViHJ", PR 7) of
-//	          KindExport — the handoff snapshot travels in exactly
-//	          the bytes a drain journals
-//	estimate: estT f64 | yaw f64 | matchDist f64 | position u32 |
-//	          source u8 | health u8 (the node→router backflow that
-//	          feeds the failover directory)
 //	open, close, ping, pong: empty
 //
 // Decoding is strict — unknown kinds, oversized names, short or
@@ -76,16 +69,16 @@ var ErrBadMessage = errors.New("cluster: bad message")
 // on purpose, like journal record kinds.
 type MsgKind uint8
 
-// Message kinds.
+// Message kinds. Numbers 5 and 7 are retired and decode as unknown;
+// the others keep their values, so a live kind's frames never change
+// meaning.
 const (
-	MsgOpen     MsgKind = 1 // router→node: open Session over Key's profile
-	MsgItems    MsgKind = 2 // router→node: a batch of sensor items
-	MsgPing     MsgKind = 3 // router→node: heartbeat probe at stream time T
-	MsgPong     MsgKind = 4 // node→router: heartbeat reply echoing T
-	MsgRestore  MsgKind = 5 // router→node: restore Session from Export
-	MsgProfile  MsgKind = 6 // router→node: replicate Key's profile bytes
-	MsgEstimate MsgKind = 7 // node→router: estimate backflow for Session
-	MsgClose    MsgKind = 8 // router→node: close Session
+	MsgOpen    MsgKind = 1 // router→node: open Session over Key's profile
+	MsgItems   MsgKind = 2 // router→node: a batch of sensor items
+	MsgPing    MsgKind = 3 // router→node: heartbeat probe at stream time T
+	MsgPong    MsgKind = 4 // node→router: heartbeat reply echoing T
+	MsgProfile MsgKind = 6 // router→node: replicate Key's profile bytes
+	MsgClose   MsgKind = 8 // router→node: close Session
 )
 
 // String names the kind for counters and tooling.
@@ -99,12 +92,8 @@ func (k MsgKind) String() string {
 		return "ping"
 	case MsgPong:
 		return "pong"
-	case MsgRestore:
-		return "restore"
 	case MsgProfile:
 		return "profile"
-	case MsgEstimate:
-		return "estimate"
 	case MsgClose:
 		return "close"
 	default:
@@ -112,17 +101,12 @@ func (k MsgKind) String() string {
 	}
 }
 
-func (k MsgKind) valid() bool { return k >= MsgOpen && k <= MsgClose }
-
-// EstimateUpdate is the estimate backflow body: what the router's
-// failover directory remembers about a session's last output.
-type EstimateUpdate struct {
-	Time      float64
-	Yaw       float64
-	MatchDist float64
-	Position  int32
-	Source    uint8
-	Health    uint8
+func (k MsgKind) valid() bool {
+	switch k {
+	case MsgOpen, MsgItems, MsgPing, MsgPong, MsgProfile, MsgClose:
+		return true
+	}
+	return false
 }
 
 // Message is one cluster exchange. Exactly the fields implied by Kind
@@ -131,14 +115,12 @@ type Message struct {
 	Kind    MsgKind
 	From    string  // sender node name; "" is the router
 	To      string  // receiver node name; "" is the router
-	Session string  // MsgOpen, MsgRestore, MsgEstimate, MsgClose
+	Session string  // MsgOpen, MsgClose
 	Key     string  // MsgOpen, MsgProfile: profile-store key
 	T       float64 // stream time: heartbeat probe time, batch max time
 
-	Items   []serve.Item   // MsgItems
-	Profile []byte         // MsgProfile: persisted profile bytes, opaque
-	Export  journal.Record // MsgRestore: the KindExport handoff snapshot
-	Est     EstimateUpdate // MsgEstimate
+	Items   []serve.Item // MsgItems
+	Profile []byte       // MsgProfile: persisted profile bytes, opaque
 }
 
 // EncodeMessage frames one message onto dst. Frames embedded in items
@@ -189,22 +171,6 @@ func appendMsgPayload(dst []byte, m *Message) ([]byte, error) {
 		}
 	case MsgProfile:
 		dst = append(dst, m.Profile...)
-	case MsgRestore:
-		if m.Export.Kind != journal.KindExport {
-			return dst, fmt.Errorf("%w: restore carries kind %v", ErrBadMessage, m.Export.Kind)
-		}
-		rec := m.Export
-		framed, err := journal.AppendRecord(nil, &rec)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, framed...)
-	case MsgEstimate:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Est.Time))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Est.Yaw))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Est.MatchDist))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Est.Position))
-		dst = append(dst, m.Est.Source, m.Est.Health)
 	}
 	return dst, nil
 }
@@ -303,22 +269,6 @@ func decodeMessage(frame []byte, pooled bool) (*Message, error) {
 		}
 	case MsgProfile:
 		m.Profile = append([]byte(nil), d.rest()...)
-	case MsgRestore:
-		rec, err := decodeEmbeddedRecord(d.rest())
-		if err != nil {
-			return nil, err
-		}
-		if rec.Kind != journal.KindExport {
-			return nil, fmt.Errorf("%w: restore carries kind %v", ErrBadMessage, rec.Kind)
-		}
-		m.Export = rec
-	case MsgEstimate:
-		m.Est.Time = d.f64()
-		m.Est.Yaw = d.f64()
-		m.Est.MatchDist = d.f64()
-		m.Est.Position = int32(d.u32())
-		m.Est.Source = d.u8()
-		m.Est.Health = d.u8()
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -327,20 +277,6 @@ func decodeMessage(frame []byte, pooled bool) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBadMessage, len(d.b))
 	}
 	return m, nil
-}
-
-// decodeEmbeddedRecord reads exactly one framed journal record.
-func decodeEmbeddedRecord(b []byte) (journal.Record, error) {
-	br := bytes.NewReader(b)
-	jr := journal.NewReader(br)
-	rec, err := jr.Next()
-	if err != nil {
-		return journal.Record{}, fmt.Errorf("%w: embedded record: %v", ErrBadMessage, err)
-	}
-	if br.Len() != 0 {
-		return journal.Record{}, fmt.Errorf("%w: %d bytes after embedded record", ErrBadMessage, br.Len())
-	}
-	return rec, nil
 }
 
 // wireDecoder is a cursor over a message payload; the first failed

@@ -25,12 +25,6 @@ func wireMessages() []*Message {
 		{complex(0.5, -0.125), complex(-0.25, 0.875)},
 		{complex(1.0, 0.0), complex(0.0625, 0.09375)},
 	}}
-	export := journal.Record{
-		Kind: journal.KindExport, Session: "driver-a", T: 12.5,
-		Yaw: -17.25, Position: 2, Source: 1, MatchDist: 0.31, Health: 2,
-		EstT: 12.25, From: 0, To: 3,
-		Flags: journal.ExportHasClock | journal.ExportHasEstimate,
-	}
 	return []*Message{
 		{Kind: MsgOpen, To: "n0", Session: "driver-a", Key: "cabin-1"},
 		{Kind: MsgItems, To: "n1", T: 2.5, Items: []serve.Item{
@@ -43,10 +37,7 @@ func wireMessages() []*Message {
 		}},
 		{Kind: MsgPing, To: "n2", T: 7.5},
 		{Kind: MsgPong, From: "n2", T: 7.5},
-		{Kind: MsgRestore, To: "n3", Session: "driver-a", Key: "cabin-1", Export: export},
 		{Kind: MsgProfile, To: "n0", Key: "cabin-1", Profile: []byte{0xde, 0xad, 0xbe, 0xef}},
-		{Kind: MsgEstimate, From: "n1", Session: "driver-b", T: 4.5,
-			Est: EstimateUpdate{Time: 4.5, Yaw: 33.0, MatchDist: 0.12, Position: -1, Source: 2, Health: 1}},
 		{Kind: MsgClose, To: "n0", Session: "driver-a"},
 	}
 }
@@ -129,34 +120,13 @@ func TestEncodeMessageRejects(t *testing.T) {
 		{"Inf time", &Message{Kind: MsgPing, T: math.Inf(1)}},
 		{"oversized batch", &Message{Kind: MsgItems, Items: make([]serve.Item, maxItemsPerMsg+1)}},
 		{"bad item kind", &Message{Kind: MsgItems, Items: []serve.Item{{Session: "s", Kind: 42}}}},
-		{"restore non-export", &Message{Kind: MsgRestore,
-			Export: journal.Record{Kind: journal.KindEstimate, Session: "s", T: 1}}},
+		{"retired restore kind", &Message{Kind: 5, To: "n0", Session: "s", Key: "k"}},
+		{"retired estimate kind", &Message{Kind: 7, Session: "s"}},
 	}
 	for _, tc := range cases {
 		if _, err := EncodeMessage(nil, tc.m); err == nil {
 			t.Errorf("%s: encode accepted", tc.name)
 		}
-	}
-}
-
-// The restore-non-export rejection above comes from the message layer
-// contract: MsgRestore must carry exactly one KindExport record.
-func TestDecodeRestoreRejectsNonExport(t *testing.T) {
-	rec := journal.Record{Kind: journal.KindHealth, Session: "s", T: 1, Health: 1}
-	framed, err := journal.AppendRecord(nil, &rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte{byte(MsgRestore)}
-	payload = append(payload, make([]byte, 8)...) // T = 0
-	payload = append(payload, 0)                  // from ""
-	payload = append(payload, 2, 'n', '0')        // to "n0"
-	payload = append(payload, 0, 1, 's')          // session "s"
-	payload = append(payload, 0, 1, 'k')          // key "k"
-	payload = append(payload, framed...)
-	frame := appendEnvelope(nil, payload)
-	if _, err := DecodeMessage(frame); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("decode of non-export restore: %v", err)
 	}
 }
 
@@ -187,6 +157,13 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: decode accepted", tc.name)
 		}
 	}
+	// Kinds 5 (restore) and 7 (estimate backflow) are retired: frames
+	// carrying the bodies they used to have are unknown kinds now.
+	for _, frame := range retiredFrames(t) {
+		if _, err := DecodeMessage(frame); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("retired kind %d: decode err = %v, want ErrBadMessage", frame[envelope.HeaderLen], err)
+		}
+	}
 	// Corrupt one payload byte: the envelope CRC must catch it.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-5] ^= 0x40
@@ -195,7 +172,36 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 	}
 }
 
-func encodePayload(t *testing.T, m *Message) []byte {
+// retiredFrame builds a frame of a retired message kind with the body
+// it used to carry, so the rejection is down to the kind byte alone.
+func retiredFrame(t testing.TB, kind MsgKind, body []byte) []byte {
+	t.Helper()
+	p := encodePayload(t, &Message{Kind: MsgOpen, To: "n0", Session: "s", Key: "k"})
+	p[0] = byte(kind)
+	return appendEnvelope(nil, append(p, body...))
+}
+
+// retiredFrames are one frame each of the retired kinds 5 (restore,
+// carrying a framed export record) and 7 (estimate backflow, carrying
+// its 30-byte estimate body).
+func retiredFrames(t testing.TB) [][]byte {
+	return [][]byte{
+		retiredFrame(t, 5, retiredExportRecord()),
+		retiredFrame(t, 7, make([]byte, 8+8+8+4+1+1)),
+	}
+}
+
+// retiredExportRecord is a framed kind-6 journal record in the retired
+// session-export layout: estimate tail, estimate time, from/to node
+// indices and flags.
+func retiredExportRecord() []byte {
+	payload := []byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 's'}
+	payload = append(payload, make([]byte, 22+8+3)...)
+	spec := envelope.Spec{Magic: journal.Magic, Version: journal.FormatVersion, MaxPayload: 1 << 10}
+	return envelope.Append(nil, spec, payload)
+}
+
+func encodePayload(t testing.TB, m *Message) []byte {
 	t.Helper()
 	p, err := appendMsgPayload(nil, m)
 	if err != nil {

@@ -146,8 +146,12 @@ func buildSoakFixture() (*soakFixture, error) {
 }
 
 // soakLog records health transitions and per-estimate health, keyed by
-// session, safe for concurrent worker callbacks.
+// session, safe for concurrent worker callbacks. An estimate's health
+// is read through m.Health inside the sink: the session's worker
+// publishes each transition before it emits, so the read is the state
+// the estimate left under.
 type soakLog struct {
+	m      *serve.Manager
 	mu     sync.Mutex
 	trans  map[string][]serve.Health // "to" states in order
 	staleE map[string]int            // estimates emitted while STALE
@@ -164,7 +168,8 @@ func (l *soakLog) onHealth(id string, t float64, from, to serve.Health) {
 	l.mu.Unlock()
 }
 
-func (l *soakLog) onEst(id string, est core.Estimate, h serve.Health, conf float64) {
+func (l *soakLog) onEst(id string, est core.Estimate) {
+	h, _ := l.m.Health(id)
 	l.mu.Lock()
 	l.ests[id]++
 	if h == serve.Stale {
@@ -183,11 +188,12 @@ func TestChaosSoak(t *testing.T) {
 	fx := getSoakFixture(t)
 	log := newSoakLog()
 	m := serve.New(serve.Config{
-		Shards:           2,
-		QueueLen:         1 << 17,
-		OnHealth:         log.onHealth,
-		OnEstimateHealth: log.onEst,
+		Shards:     2,
+		QueueLen:   1 << 17,
+		OnHealth:   log.onHealth,
+		OnEstimate: log.onEst,
 	})
+	log.m = m
 	defer m.Close()
 	for id := range fx.pumped {
 		if err := m.Open(id, fx.profiles[id], core.DefaultPipelineConfig()); err != nil {

@@ -91,17 +91,25 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestRecordRejectsInvalid(t *testing.T) {
 	cases := []Record{
-		{Kind: 0, T: 1},                                     // zero kind
-		{Kind: 99, T: 1},                                    // unknown kind
-		{Kind: KindEstimate, T: math.NaN()},                 // NaN time
-		{Kind: KindEstimate, T: 1, Yaw: math.Inf(1)},        // Inf yaw
-		{Kind: KindEstimate, T: 1, MatchDist: math.NaN()},   // NaN dist
+		{Kind: 0, T: 1},                                       // zero kind
+		{Kind: 99, T: 1},                                      // unknown kind
+		{Kind: 6, Session: "s", T: 1},                         // retired session-export kind
+		{Kind: KindEstimate, T: math.NaN()},                   // NaN time
+		{Kind: KindEstimate, T: 1, Yaw: math.Inf(1)},          // Inf yaw
+		{Kind: KindEstimate, T: 1, MatchDist: math.NaN()},     // NaN dist
 		{Kind: KindReap, Session: string(make([]byte, 5000))}, // oversized session
 	}
 	for i, r := range cases {
 		if _, err := AppendRecord(nil, &r); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("case %d: err = %v, want ErrBadRecord", i, err)
 		}
+	}
+	// A kind-6 payload in the retired export layout (estimate tail,
+	// estimate time, from/to node indices, flags) no longer decodes.
+	export := []byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 's'}
+	export = append(export, make([]byte, estimateLen+8+3)...)
+	if _, err := DecodeRecord(export); !errors.Is(err, ErrBadRecord) {
+		t.Errorf("kind-6 payload: err = %v, want ErrBadRecord", err)
 	}
 }
 

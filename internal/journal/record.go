@@ -22,9 +22,9 @@ const FormatVersion = 1
 const maxSession = 4096
 
 // maxRecordPayload caps the payload length the reader will believe: a
-// full fixed section plus the largest legal session ID. Export is the
+// full fixed section plus the largest legal session ID. Estimate is the
 // widest kind tail.
-const maxRecordPayload = recFixedLen + exportLen + maxSession
+const maxRecordPayload = recFixedLen + estimateLen + maxSession
 
 // recordSpec is the journal's per-record envelope: the same
 // magic/version/length/CRC-32 frame driver profiles use (PR 4,
@@ -62,30 +62,6 @@ const (
 	// written by Writer.Close. A recovery that finds it last knows the
 	// process exited cleanly; its absence marks a crash.
 	KindShutdown Kind = 5
-	// KindExport is one session-state export: the snapshot a node
-	// drain or failover hands to the session's next owner (session
-	// clock, health, last estimate), plus the source and destination
-	// node indices of the transfer. Written to a source node's journal
-	// on drain (the durable record that the session left this node)
-	// and to the cluster coordinator's journal for every reassignment,
-	// drain or failover alike.
-	KindExport Kind = 6
-)
-
-// Export record flag bits (Record.Flags, KindExport only).
-const (
-	// ExportHasEstimate marks the estimate fields (Yaw, Position,
-	// Source, MatchDist, EstT) as carrying the session's last
-	// delivered estimate.
-	ExportHasEstimate uint8 = 1 << 0
-	// ExportHasClock marks T as the session's admitted-item clock; a
-	// session that never admitted an item exports without it and
-	// restores fresh.
-	ExportHasClock uint8 = 1 << 1
-	// ExportFailover marks a transfer forced by a failure detector
-	// rather than an orderly drain: the state came from the router's
-	// estimate cache, not from the (dead) source node itself.
-	ExportFailover uint8 = 1 << 2
 )
 
 // String names the kind for tooling output.
@@ -101,15 +77,13 @@ func (k Kind) String() string {
 		return "close"
 	case KindShutdown:
 		return "shutdown"
-	case KindExport:
-		return "export"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
 // valid reports whether the kind is one this build writes.
-func (k Kind) valid() bool { return k >= KindEstimate && k <= KindExport }
+func (k Kind) valid() bool { return k >= KindEstimate && k <= KindShutdown }
 
 // Record is one journal entry. Exactly the fields implied by Kind are
 // meaningful; the rest stay zero and are not encoded.
@@ -128,16 +102,8 @@ type Record struct {
 	// event. For KindHealth, To carries the destination instead.
 	Health uint8
 
-	// KindHealth fields. KindExport reuses the pair as the source and
-	// destination node indices of the transfer (positions in the
-	// cluster's sorted static membership).
+	// KindHealth fields.
 	From, To uint8
-
-	// KindExport fields: the stream time of the exported last
-	// estimate (T carries the session clock) and the Export* flag
-	// bits saying which sections of the snapshot are populated.
-	EstT  float64
-	Flags uint8
 }
 
 // Payload layout (after the envelope frame):
@@ -152,14 +118,12 @@ type Record struct {
 //	estimate: yaw f64 | position i32 | source u8 | matchDist f64 | health u8
 //	health:   from u8 | to u8
 //	close:    health u8
-//	export:   estimate tail | estT f64 | from u8 | to u8 | flags u8
 //	reap, shutdown: (nothing)
 const (
 	recFixedLen = 1 + 8 + 2
 	estimateLen = 8 + 4 + 1 + 8 + 1
 	healthLen   = 2
 	closeLen    = 1
-	exportLen   = estimateLen + 8 + 3
 )
 
 // kindTail returns the kind-specific payload length.
@@ -171,8 +135,6 @@ func kindTail(k Kind) int {
 		return healthLen
 	case KindClose:
 		return closeLen
-	case KindExport:
-		return exportLen
 	default:
 		return 0
 	}
@@ -193,11 +155,8 @@ func (r *Record) validate() error {
 	if badFloat(r.T) {
 		return fmt.Errorf("%w: non-finite stream time %v", ErrBadRecord, r.T)
 	}
-	if (r.Kind == KindEstimate || r.Kind == KindExport) && (badFloat(r.Yaw) || badFloat(r.MatchDist)) {
+	if r.Kind == KindEstimate && (badFloat(r.Yaw) || badFloat(r.MatchDist)) {
 		return fmt.Errorf("%w: non-finite estimate fields (yaw %v, dist %v)", ErrBadRecord, r.Yaw, r.MatchDist)
-	}
-	if r.Kind == KindExport && badFloat(r.EstT) {
-		return fmt.Errorf("%w: non-finite export estimate time %v", ErrBadRecord, r.EstT)
 	}
 	return nil
 }
@@ -224,14 +183,6 @@ func (r *Record) appendPayload(dst []byte) ([]byte, error) {
 		dst = append(dst, r.From, r.To)
 	case KindClose:
 		dst = append(dst, r.Health)
-	case KindExport:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Yaw))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Position))
-		dst = append(dst, r.Source)
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.MatchDist))
-		dst = append(dst, r.Health)
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.EstT))
-		dst = append(dst, r.From, r.To, r.Flags)
 	}
 	return dst, nil
 }
@@ -275,14 +226,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 		r.From, r.To = tail[0], tail[1]
 	case KindClose:
 		r.Health = tail[0]
-	case KindExport:
-		r.Yaw = math.Float64frombits(binary.BigEndian.Uint64(tail[0:8]))
-		r.Position = int32(binary.BigEndian.Uint32(tail[8:12]))
-		r.Source = tail[12]
-		r.MatchDist = math.Float64frombits(binary.BigEndian.Uint64(tail[13:21]))
-		r.Health = tail[21]
-		r.EstT = math.Float64frombits(binary.BigEndian.Uint64(tail[22:30]))
-		r.From, r.To, r.Flags = tail[30], tail[31], tail[32]
 	}
 	if err := r.validate(); err != nil {
 		return Record{}, err

@@ -69,17 +69,10 @@ type SessionState struct {
 	// estimate record, a transition's destination, or a close record,
 	// whichever came last.
 	Health uint8
-	// Closed reports the session ended (KindClose, KindReap, or
-	// KindExport).
+	// Closed reports the session ended (KindClose or KindReap).
 	Closed bool
 	// Reaped reports the close was an idle-TTL eviction specifically.
 	Reaped bool
-	// HandedOff reports the session left this node via a KindExport
-	// transfer; Export then holds that record verbatim (its From/To
-	// carry the node indices, its Flags say whether the transfer was a
-	// drain or a failover).
-	HandedOff bool
-	Export    Record
 }
 
 // Diagnostics describes the physical condition of the scanned file.
@@ -161,22 +154,15 @@ func (res *RecoverResult) apply(rec Record) {
 		s.Health = rec.Health
 		// A record after a close means the ID was reopened: a fresh
 		// session under a reused name.
-		s.Closed, s.Reaped, s.HandedOff = false, false, false
+		s.Closed, s.Reaped = false, false
 	case KindHealth:
 		s.Health = rec.To
-		s.Closed, s.Reaped, s.HandedOff = false, false, false
+		s.Closed, s.Reaped = false, false
 	case KindReap:
 		s.Closed, s.Reaped = true, true
 	case KindClose:
 		s.Closed = true
 		s.Health = rec.Health
-	case KindExport:
-		// The session is gone from this node — closed here, live on the
-		// destination. Keep the record so tooling can say where it went.
-		s.Closed = true
-		s.HandedOff = true
-		s.Health = rec.Health
-		s.Export = rec
 	}
 }
 

@@ -260,9 +260,6 @@ func (m *Manager) emit(s *session, est core.Estimate) {
 	if m.cfg.OnEstimate != nil {
 		m.cfg.OnEstimate(s.id, est)
 	}
-	if m.cfg.OnEstimateHealth != nil {
-		m.cfg.OnEstimateHealth(s.id, est, s.h, s.h.Confidence())
-	}
 }
 
 // Health returns the session's current degradation state. It is safe

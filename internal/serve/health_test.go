@@ -17,8 +17,12 @@ type transition struct {
 	from, to serve.Health
 }
 
-// healthLog collects OnHealth and OnEstimateHealth callbacks.
+// healthLog collects OnHealth and OnEstimate callbacks. Each estimate
+// is tagged with the session's health read through m.Health inside
+// the sink: the state machine publishes a transition before it emits
+// on the same goroutine, so that is the state the estimate left under.
 type healthLog struct {
+	m     *serve.Manager
 	mu    sync.Mutex
 	trans map[string][]transition
 	ests  map[string][]estAt
@@ -40,9 +44,10 @@ func (l *healthLog) onHealth(id string, t float64, from, to serve.Health) {
 	l.mu.Unlock()
 }
 
-func (l *healthLog) onEst(id string, est core.Estimate, h serve.Health, conf float64) {
+func (l *healthLog) onEst(id string, est core.Estimate) {
+	h, _ := l.m.Health(id)
 	l.mu.Lock()
-	l.ests[id] = append(l.ests[id], estAt{est: est, h: h, conf: conf})
+	l.ests[id] = append(l.ests[id], estAt{est: est, h: h, conf: h.Confidence()})
 	l.mu.Unlock()
 }
 
@@ -86,10 +91,11 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 	f := getFixture(t)
 	log := newHealthLog()
 	m := serve.New(serve.Config{
-		Deterministic:    true,
-		OnHealth:         log.onHealth,
-		OnEstimateHealth: log.onEst,
+		Deterministic: true,
+		OnHealth:      log.onHealth,
+		OnEstimate:    log.onEst,
 	})
+	log.m = m
 	defer m.Close()
 	if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
 		t.Fatal(err)
@@ -165,10 +171,11 @@ func TestHealthForecastCoasting(t *testing.T) {
 	f := getFixture(t)
 	log := newHealthLog()
 	m := serve.New(serve.Config{
-		Deterministic:    true,
-		OnHealth:         log.onHealth,
-		OnEstimateHealth: log.onEst,
+		Deterministic: true,
+		OnHealth:      log.onHealth,
+		OnEstimate:    log.onEst,
 	})
+	log.m = m
 	defer m.Close()
 	if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
 		t.Fatal(err)
@@ -214,11 +221,12 @@ func TestHealthDisable(t *testing.T) {
 	f := getFixture(t)
 	log := newHealthLog()
 	m := serve.New(serve.Config{
-		Deterministic:    true,
-		Health:           serve.HealthConfig{Disable: true},
-		OnHealth:         log.onHealth,
-		OnEstimateHealth: log.onEst,
+		Deterministic: true,
+		Health:        serve.HealthConfig{Disable: true},
+		OnHealth:      log.onHealth,
+		OnEstimate:    log.onEst,
 	})
+	log.m = m
 	defer m.Close()
 	if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
 		t.Fatal(err)
@@ -251,12 +259,12 @@ func TestServeTimestampGuards(t *testing.T) {
 	}
 
 	push := func(it serve.Item) { it.Session = "s"; m.Push(it) }
-	push(serve.Item{Kind: serve.KindPhase, Time: 1, Phi: 0})     // accepted
-	push(serve.Item{Kind: serve.KindPhase, Time: 1, Phi: 0})     // duplicate
-	push(serve.Item{Kind: serve.KindPhase, Time: 0.5, Phi: 0})   // backwards
-	push(serve.Item{Kind: serve.KindPhase, Time: math.NaN()})    // non-finite time
+	push(serve.Item{Kind: serve.KindPhase, Time: 1, Phi: 0})               // accepted
+	push(serve.Item{Kind: serve.KindPhase, Time: 1, Phi: 0})               // duplicate
+	push(serve.Item{Kind: serve.KindPhase, Time: 0.5, Phi: 0})             // backwards
+	push(serve.Item{Kind: serve.KindPhase, Time: math.NaN()})              // non-finite time
 	push(serve.Item{Kind: serve.KindPhase, Time: 1.001, Phi: math.Inf(1)}) // non-finite phase
-	push(serve.Item{Kind: serve.KindPhase, Time: 100, Phi: 0})   // far-future jump
+	push(serve.Item{Kind: serve.KindPhase, Time: 100, Phi: 0})             // far-future jump
 	push(serve.Item{Kind: serve.KindIMU, IMU: imu.Reading{Time: math.NaN()}})
 	push(serve.Item{Kind: serve.KindCamera, Camera: camera.Estimate{Time: math.Inf(1), Valid: true}})
 	push(serve.Item{Kind: serve.KindPhase, Time: 1.002, Phi: 0}) // still accepted: clock not wedged

@@ -112,11 +112,6 @@ type Config struct {
 	// Same concurrency contract as OnEstimate: serial per session,
 	// concurrent across shards.
 	OnHealth func(session string, t float64, from, to Health)
-	// OnEstimateHealth, if set, receives every emitted estimate
-	// together with the session's degradation state and confidence
-	// weight at emission time. Same concurrency contract as
-	// OnEstimate.
-	OnEstimateHealth func(session string, est core.Estimate, h Health, confidence float64)
 
 	// SessionTTLS, when > 0, enables stream-time idle-session reaping:
 	// a session whose own clock lags its shard's stream clock (the max
@@ -573,15 +568,7 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 	if err != nil {
 		return fmt.Errorf("serve: open %q: %w", id, err)
 	}
-	return m.adopt(&session{id: id, pl: pl, mirror: m.cfg.Journal != nil})
-}
-
-// adopt registers a fully built session with its shard. It is the
-// single registration path — Open builds a fresh session, a cluster
-// RestoreSession builds a pre-seeded one — so every session enters
-// service through the same shutdown-atomic sequence.
-func (m *Manager) adopt(s *session) error {
-	sh := m.shardFor(s.id)
+	sh := m.shardFor(id)
 	sh.mu.Lock()
 	// Close marks every shard closed under its own mutex, so checking
 	// here (not just m.closed in the caller) makes registration atomic
@@ -591,24 +578,23 @@ func (m *Manager) adopt(s *session) error {
 		sh.mu.Unlock()
 		return ErrClosed
 	}
-	if _, ok := sh.sessions[s.id]; ok {
+	if _, ok := sh.sessions[id]; ok {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrDuplicateID, s.id)
+		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	// The pipeline's tracker adopts the shard's shared scratch before
 	// any worker touches it; results are unchanged (matcher state does
 	// not carry between calls).
-	s.pl.Tracker().SetMatcher(sh.matcher)
+	pl.Tracker().SetMatcher(sh.matcher)
 	if m.obs != nil {
 		// Stage observers run on the shard worker that owns the
 		// pipeline; histograms and the tracer absorb the concurrency.
 		mo := m.obs
-		id := s.id
-		s.pl.SetStageObserver(func(stage string, streamT float64, durNS int64) {
+		pl.SetStageObserver(func(stage string, streamT float64, durNS int64) {
 			mo.stage(id, stage, streamT, durNS)
 		})
 	}
-	sh.sessions[s.id] = s
+	sh.sessions[id] = &session{id: id, pl: pl, mirror: m.cfg.Journal != nil}
 	// Bookkeeping nests inside sh.mu (lock order: shard before
 	// manager, never the reverse) so the count and gauge move
 	// atomically with the registration — Close's purge can therefore

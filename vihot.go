@@ -202,8 +202,7 @@ type (
 // Degradation states, in order of decreasing confidence. A session
 // moves down this ladder as its CSI stream starves (stream time, not
 // wall clock) and climbs back after sustained clean flow; query with
-// SessionManager.Health or subscribe via Config.OnHealth /
-// Config.OnEstimateHealth.
+// SessionManager.Health or subscribe via Config.OnHealth.
 const (
 	SessionHealthy  = serve.Healthy
 	SessionDegraded = serve.Degraded
@@ -326,15 +325,16 @@ func ServeObs(addr string, r *MetricsRegistry, tr *StreamTracer) (*http.Server, 
 // Distributed serving: the consistent-hash cluster tier of
 // internal/cluster, re-exported for embedding a multi-node fleet —
 // sessions hashed onto N member nodes, profiles replicated on open,
-// stream-time heartbeat failure detection, and journal-backed session
-// handoff on drain and failover (DESIGN.md §14).
+// stream-time heartbeat failure detection, and session handoff on
+// drain and failover by reopening each session on its new owner
+// (DESIGN.md §14).
 type (
 	// Cluster is the coordinator: ring, routing directory, failure
 	// detector, and handoff engine over N in-process member nodes.
 	Cluster = cluster.Cluster
 	// ClusterConfig sets the static membership and tunes heartbeats,
-	// estimate backflow, the per-node serving template, the handoff
-	// journal, and fault/observability hooks.
+	// the per-node serving template (per-node journals and estimate
+	// sinks go there), and fault/observability hooks.
 	ClusterConfig = cluster.Config
 	// ClusterStats is a snapshot of the coordinator's ledger; Routed ==
 	// Delivered + the three attributed drop counters, exactly.
