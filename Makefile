@@ -2,16 +2,26 @@
 # same gate (see ROADMAP.md). Everything is stdlib Go — no tool deps.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: verify build test race vet lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
+.PHONY: verify build test race vet fmt lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
 
-# verify is the tier-1 gate: vet + the walltime lint + build + full
-# test suite + the race runs that give the concurrency and
+# verify is the tier-1 gate: vet + gofmt + the walltime lint + build +
+# full test suite + the race runs that give the concurrency and
 # fault-injection tests their teeth + the fleet benchmark module.
-verify: vet lint-walltime build test race bench-check
+verify: vet fmt lint-walltime build test race bench-check
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree (fleetbench/ included) must be
+# gofmt-clean; the gate fails on any file gofmt -l lists.
+fmt:
+	@found=`$(GOFMT) -l .`; \
+	if [ -n "$$found" ]; then \
+		echo "fmt: files gofmt would change:"; \
+		echo "$$found"; exit 1; \
+	fi; echo "fmt: clean"
 
 # The deterministic packages must never read wall clocks: replay,
 # golden traces, and the stream-time failure detector all depend on

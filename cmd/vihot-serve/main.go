@@ -73,6 +73,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -195,6 +196,10 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	if profileDir != "" && profileCache < 1 {
 		// The store would quietly substitute its 256-profile default.
 		return fmt.Errorf("-profile-cache must be at least 1 with -profile-dir, got %d", profileCache)
+	}
+	if jf.path != "" && (!(jf.intervalS > 0) || math.IsInf(jf.intervalS, 1)) {
+		// The journal would quietly substitute its 0.25 s default.
+		return fmt.Errorf("-journal-interval must be a finite positive number of seconds, got %v", jf.intervalS)
 	}
 	if drivers < 1 {
 		drivers = 1
@@ -394,16 +399,18 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 			estimates[id] = append(estimates[id], est)
 			mu.Unlock()
 		},
-		OnHealth: func(id string, t float64, from, to serve.Health) {
-			mu.Lock()
-			transitions[id]++
-			mu.Unlock()
-		},
-		OnReap: func(id string, t float64) {
-			mu.Lock()
-			reaps[id] = t
-			mu.Unlock()
-			fmt.Fprintf(os.Stderr, "reaped idle session %s at stream time %.2f s\n", id, t)
+		OnEvent: func(rec journal.Record) {
+			switch rec.Kind {
+			case journal.KindHealth:
+				mu.Lock()
+				transitions[rec.Session]++
+				mu.Unlock()
+			case journal.KindReap:
+				mu.Lock()
+				reaps[rec.Session] = rec.T
+				mu.Unlock()
+				fmt.Fprintf(os.Stderr, "reaped idle session %s at stream time %.2f s\n", rec.Session, rec.T)
+			}
 		},
 	})
 	defer mgr.Close()

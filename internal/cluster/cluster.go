@@ -26,29 +26,15 @@ var (
 type Config struct {
 	// Nodes is the static membership: unique non-empty member names.
 	Nodes []string
-	// VNodes is the virtual-node count per member on the hash ring.
-	// Default 64.
-	VNodes int
-
-	// HeartbeatS is the stream-time interval between heartbeat probes
-	// (default 0.5). The failure detector runs on stream time — the
-	// router's clock is the max item timestamp it has routed — never
-	// wall time, so detection points replay deterministically.
-	HeartbeatS float64
-	// HeartbeatMisses is how many consecutive heartbeat intervals a
-	// node may go silent before it is declared dead and its sessions
-	// fail over (default 4: death at HeartbeatMisses*HeartbeatS of
-	// stream-time silence).
-	HeartbeatMisses int
 
 	// Pipeline configures every session pipeline; the zero value
 	// selects core defaults at the node.
 	Pipeline core.PipelineConfig
 	// Serve is the per-node serving template. The cluster overrides
 	// Profiles (each node gets a replication-fed store) and
-	// Deterministic; the rest (Shards, QueueLen, Health, SessionTTLS,
-	// RecycleFrames, OnEstimate, Journal, ...) applies to every node as
-	// given.
+	// Deterministic; the rest (Shards, QueueLen, SessionTTLS,
+	// RecycleFrames, OnEstimate, OnEvent, Journal, ...) applies to
+	// every node as given.
 	Serve serve.Config
 	// NodeServe, if set, customizes one node's serve config (per-node
 	// journals, metrics registries); it runs before the cluster's own
@@ -71,9 +57,6 @@ type Config struct {
 
 	// Metrics, if set, registers the vihot_cluster_* series there.
 	Metrics *obs.Registry
-	// Transport moves frames; default is an in-process Loopback owned
-	// (and closed) by the cluster.
-	Transport Transport
 	// MeasureHandoff stamps wall-clock durations on DrainNode's
 	// returned events (for benches). Off by default so deterministic
 	// runs read no wall clocks.
@@ -108,11 +91,10 @@ type dirEntry struct {
 // heartbeat pong table. dirMu nests inside mu (pongs delivered
 // synchronously under mu take dirMu) and never the reverse.
 type Cluster struct {
-	cfg           Config
-	names         []string // sorted membership
-	transport     Transport
-	ownsTransport bool
-	metrics       clusterMetrics
+	cfg       Config
+	names     []string // sorted membership
+	transport *Loopback
+	metrics   clusterMetrics
 
 	mu        sync.Mutex
 	closed    bool
@@ -137,12 +119,6 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, ErrNoMembers
 	}
-	if cfg.HeartbeatS <= 0 {
-		cfg.HeartbeatS = 0.5
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 4
-	}
 	if cfg.Pipeline == (core.PipelineConfig{}) {
 		// A fully zero pipeline config means "core defaults". Passing
 		// the zero value straight through would instead hit NewTracker's
@@ -150,7 +126,7 @@ func New(cfg Config) (*Cluster, error) {
 		// work of the defaults' stride 2, step 2).
 		cfg.Pipeline = core.DefaultPipelineConfig()
 	}
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +146,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: member name %q too long", n)
 		}
 	}
-	c.transport = cfg.Transport
-	if c.transport == nil {
-		c.transport = NewLoopback()
-		c.ownsTransport = true
-	}
+	c.transport = NewLoopback()
 	if err := c.transport.Register("", c.handleFrame); err != nil {
 		return nil, err
 	}
@@ -552,9 +524,6 @@ func (c *Cluster) CloseDrain() {
 		}
 	}
 	c.metrics.nodesLive.Set(0)
-	if c.ownsTransport {
-		c.transport.Close()
-	}
 }
 
 // Close hard-stops every member and the cluster.
@@ -571,9 +540,6 @@ func (c *Cluster) Close() {
 		}
 	}
 	c.metrics.nodesLive.Set(0)
-	if c.ownsTransport {
-		c.transport.Close()
-	}
 }
 
 // sortedDirSessions returns the directory's sessions owned by node,

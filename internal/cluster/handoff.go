@@ -26,15 +26,27 @@ import (
 // Either way the session resumes HEALTHY on its first frames; the
 // items lost in between are the same gap a fresh session would see.
 
+// Failure-detector timing, in seconds of stream time: the router's
+// clock is the max item timestamp it has routed, never wall time, so
+// detection points replay deterministically.
+const (
+	// heartbeatS is the interval between heartbeat probes.
+	heartbeatS = 0.5
+	// heartbeatMisses is how many consecutive heartbeat intervals a
+	// node may go silent before it is declared dead and its sessions
+	// fail over.
+	heartbeatMisses = 4
+)
+
 // maybeHeartbeat runs the stream-time failure detector. Caller holds
-// mu; the clock has just advanced. Pings go out every HeartbeatS of
+// mu; the clock has just advanced. Pings go out every heartbeatS of
 // stream-time advance; a node whose last pong lags the clock by more
-// than HeartbeatMisses*HeartbeatS is declared dead and failed over.
+// than heartbeatMisses*heartbeatS is declared dead and failed over.
 func (c *Cluster) maybeHeartbeat() {
 	if c.nextBeat == 0 {
 		// First clock observation anchors the schedule and the pong
 		// table: silence is measured from here, not from stream zero.
-		c.nextBeat = c.clock + c.cfg.HeartbeatS
+		c.nextBeat = c.clock + heartbeatS
 		c.dirMu.Lock()
 		for _, name := range c.names {
 			c.lastPong[name] = c.clock
@@ -45,15 +57,15 @@ func (c *Cluster) maybeHeartbeat() {
 	if c.clock < c.nextBeat {
 		return
 	}
-	c.nextBeat = c.clock + c.cfg.HeartbeatS
+	c.nextBeat = c.clock + heartbeatS
 	// Probe first (a reachable node's pong lands synchronously on the
-	// loopback transport, asynchronously on UDP), then judge.
+	// loopback transport), then judge.
 	for _, name := range c.names {
 		if c.live[name] {
 			_ = c.send(&Message{Kind: MsgPing, To: name, T: c.clock})
 		}
 	}
-	deathAfter := float64(c.cfg.HeartbeatMisses) * c.cfg.HeartbeatS
+	const deathAfter = heartbeatMisses * heartbeatS
 	for _, name := range c.names {
 		if !c.live[name] {
 			continue
@@ -61,7 +73,7 @@ func (c *Cluster) maybeHeartbeat() {
 		c.dirMu.Lock()
 		gap := c.clock - c.lastPong[name]
 		c.dirMu.Unlock()
-		if gap >= c.cfg.HeartbeatS {
+		if gap >= heartbeatS {
 			c.metrics.heartbeatMisses.Add(1)
 		}
 		if gap > deathAfter {

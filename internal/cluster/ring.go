@@ -18,11 +18,11 @@ import (
 	"sort"
 )
 
-// ringVNodesDefault is the virtual-node count per member. 64 points
+// ringVNodes is the virtual-node count per member. 64 points
 // per node keeps the max/min session-load ratio under ~1.3 at the
 // fleet sizes static membership targets (single-digit nodes) while the
 // whole ring still fits in a few cache lines per member.
-const ringVNodesDefault = 64
+const ringVNodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle
 // and the member that owns it.
@@ -39,13 +39,9 @@ type Ring struct {
 	nodes  []string // sorted members
 }
 
-// NewRing builds a ring over the given members with vnodes virtual
-// nodes each (<=0 selects the default). Member names must be unique
-// and non-empty.
-func NewRing(members []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = ringVNodesDefault
-	}
+// NewRing builds a ring over the given members with ringVNodes
+// virtual nodes each. Member names must be unique and non-empty.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, ErrNoMembers
 	}
@@ -59,9 +55,9 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate member %q", n)
 		}
 	}
-	r := &Ring{nodes: nodes, points: make([]ringPoint, 0, len(nodes)*vnodes)}
+	r := &Ring{nodes: nodes, points: make([]ringPoint, 0, len(nodes)*ringVNodes)}
 	for _, n := range nodes {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: vnodeHash(n, v), node: n})
 		}
 	}
@@ -154,11 +150,7 @@ func (r *Ring) Without(name string) (*Ring, error) {
 		// The last member left: a valid, empty ring that owns nothing.
 		return &Ring{}, nil
 	}
-	vnodes := 0
-	if len(r.nodes) > 0 {
-		vnodes = len(r.points) / len(r.nodes)
-	}
-	return NewRing(nodes, vnodes)
+	return NewRing(nodes)
 }
 
 // Members returns the ring's members, sorted.

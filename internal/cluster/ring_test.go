@@ -6,17 +6,17 @@ import (
 )
 
 func TestRingDeterministic(t *testing.T) {
-	a, err := NewRing([]string{"n2", "n0", "n1", "n3"}, 0)
+	a, err := NewRing([]string{"n2", "n0", "n1", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same membership in a different declaration order: the ring is a
 	// function of the member set, not of the slice.
-	b, err := NewRing([]string{"n3", "n1", "n0", "n2"}, 0)
+	b, err := NewRing([]string{"n3", "n1", "n0", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Points(), 4*ringVNodesDefault; got != want {
+	if got, want := a.Points(), 4*ringVNodes; got != want {
 		t.Fatalf("Points() = %d, want %d", got, want)
 	}
 	for i := 0; i < 500; i++ {
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	members := []string{"alpha", "beta", "gamma", "delta"}
-	r, err := NewRing(members, 0)
+	r, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRingBalance(t *testing.T) {
 // mint — must not pile onto one member (raw FNV-1a put all of these
 // on a single node).
 func TestRingSequentialIDsSpread(t *testing.T) {
-	r, err := NewRing([]string{"n0", "n1", "n2"}, 0)
+	r, err := NewRing([]string{"n0", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRingSequentialIDsSpread(t *testing.T) {
 
 func TestRingMinimalMovement(t *testing.T) {
 	members := []string{"alpha", "beta", "gamma", "delta"}
-	r, err := NewRing(members, 0)
+	r, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := shrunk.Points(), 3*ringVNodesDefault; got != want {
+	if got, want := shrunk.Points(), 3*ringVNodes; got != want {
 		t.Fatalf("shrunk Points() = %d, want %d", got, want)
 	}
 	moved, kept := 0, 0
@@ -109,16 +109,16 @@ func TestRingMinimalMovement(t *testing.T) {
 }
 
 func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Fatal("empty member name accepted")
 	}
-	r, err := NewRing([]string{"solo"}, 8)
+	r, err := NewRing([]string{"solo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,6 @@ import (
 // registered endpoint.
 type Handler func(frame []byte) error
 
-// Transport moves encoded cluster frames between endpoints: the
-// router (endpoint name "") and the member nodes. Implementations
-// must be safe for concurrent Send; delivery order is only guaranteed
-// per sender goroutine.
-type Transport interface {
-	// Register binds an endpoint name to its frame handler.
-	Register(name string, h Handler) error
-	// Send delivers one frame to the named endpoint.
-	Send(to string, frame []byte) error
-	// Close releases transport resources.
-	Close() error
-}
-
 // ErrUnreachable reports a send to an endpoint the transport has no
 // route for.
 var ErrUnreachable = errors.New("cluster: endpoint unreachable")
@@ -64,6 +51,3 @@ func (l *Loopback) Send(to string, frame []byte) error {
 	}
 	return h(frame)
 }
-
-// Close is a no-op.
-func (l *Loopback) Close() error { return nil }

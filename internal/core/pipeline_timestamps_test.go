@@ -107,10 +107,10 @@ func TestPushIMUTimestampDiscipline(t *testing.T) {
 		r := imu.Reading{Time: ts, GyroZ: gyro}
 		clean.PushIMU(r)
 		dirty.PushIMU(r)
-		dirty.PushIMU(r)                                              // duplicate
-		dirty.PushIMU(imu.Reading{Time: ts - 0.05, GyroZ: -40})       // stale replay, wild value
-		dirty.PushIMU(imu.Reading{Time: math.NaN(), GyroZ: 25})       // poisoned clock
-		dirty.PushIMU(imu.Reading{Time: ts, GyroZ: math.Inf(1)})      // poisoned value
+		dirty.PushIMU(r)                                         // duplicate
+		dirty.PushIMU(imu.Reading{Time: ts - 0.05, GyroZ: -40})  // stale replay, wild value
+		dirty.PushIMU(imu.Reading{Time: math.NaN(), GyroZ: 25})  // poisoned clock
+		dirty.PushIMU(imu.Reading{Time: ts, GyroZ: math.Inf(1)}) // poisoned value
 		if clean.Steering() != dirty.Steering() {
 			t.Fatalf("steering state diverged at t=%v: clean=%v dirty=%v",
 				ts, clean.Steering(), dirty.Steering())

@@ -158,12 +158,12 @@ func PositionScanScenario(rng *stats.RNG, p Profile, duration float64) *Scenario
 	pos.Append(duration, pos.At(duration))
 
 	return &Scenario{
-		Name:     "pos3d",
-		Duration: duration,
-		SpeedMPS: 0, // stationary cabin: a parked car or a room
-		HeadYaw:  yaw,
+		Name:      "pos3d",
+		Duration:  duration,
+		SpeedMPS:  0, // stationary cabin: a parked car or a room
+		HeadYaw:   yaw,
 		HeadPitch: pitch,
-		HeadPos:  pos,
+		HeadPos:   pos,
 	}
 }
 

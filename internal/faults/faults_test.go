@@ -230,12 +230,12 @@ func TestInjectorOutageWindows(t *testing.T) {
 	})
 	items := []serve.Item{
 		{Kind: serve.KindPhase, Time: 0.5},
-		{Kind: serve.KindPhase, Time: 1.5},                    // blacked out
-		{Kind: serve.KindFrame, Frame: testFrame(1.7)},        // blacked out
-		{Kind: serve.KindIMU, IMU: imu.Reading{Time: 3.5}},    // outage
-		{Kind: serve.KindIMU, IMU: imu.Reading{Time: 4.5}},    // survives
-		{Kind: serve.KindCamera, Camera: camEst(5.5)},         // outage
-		{Kind: serve.KindCamera, Camera: camEst(6.5)},         // survives
+		{Kind: serve.KindPhase, Time: 1.5},                 // blacked out
+		{Kind: serve.KindFrame, Frame: testFrame(1.7)},     // blacked out
+		{Kind: serve.KindIMU, IMU: imu.Reading{Time: 3.5}}, // outage
+		{Kind: serve.KindIMU, IMU: imu.Reading{Time: 4.5}}, // survives
+		{Kind: serve.KindCamera, Camera: camEst(5.5)},      // outage
+		{Kind: serve.KindCamera, Camera: camEst(6.5)},      // survives
 	}
 	out := in.Apply(items)
 	if len(out) != 3 {

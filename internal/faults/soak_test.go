@@ -8,6 +8,7 @@ import (
 
 	"vihot/internal/core"
 	"vihot/internal/faults"
+	"vihot/internal/journal"
 	"vihot/internal/scenario"
 	"vihot/internal/serve"
 )
@@ -138,7 +139,7 @@ func buildSoakFixture() (*soakFixture, error) {
 			}
 			fx.profiles[id] = prof
 			fx.streams[id] = st.Items
-			fx.pumped[id] = faults.New(soakConfig(7000 + int64(n))).Pump(id, st.Items)
+			fx.pumped[id] = faults.New(soakConfig(7000+int64(n))).Pump(id, st.Items)
 			n++
 		}
 	}
@@ -162,9 +163,12 @@ func newSoakLog() *soakLog {
 	return &soakLog{trans: map[string][]serve.Health{}, staleE: map[string]int{}, ests: map[string]int{}}
 }
 
-func (l *soakLog) onHealth(id string, t float64, from, to serve.Health) {
+func (l *soakLog) onEvent(rec journal.Record) {
+	if rec.Kind != journal.KindHealth {
+		return
+	}
 	l.mu.Lock()
-	l.trans[id] = append(l.trans[id], to)
+	l.trans[rec.Session] = append(l.trans[rec.Session], serve.Health(rec.To))
 	l.mu.Unlock()
 }
 
@@ -190,7 +194,7 @@ func TestChaosSoak(t *testing.T) {
 	m := serve.New(serve.Config{
 		Shards:     2,
 		QueueLen:   1 << 17,
-		OnHealth:   log.onHealth,
+		OnEvent:    log.onEvent,
 		OnEstimate: log.onEst,
 	})
 	log.m = m
@@ -320,7 +324,7 @@ func TestChaosSoakDeterministicReplay(t *testing.T) {
 		ests := map[string][]core.Estimate{}
 		m := serve.New(serve.Config{
 			Deterministic: true,
-			OnHealth:      log.onHealth,
+			OnEvent:       log.onEvent,
 			OnEstimate: func(id string, est core.Estimate) {
 				ests[id] = append(ests[id], est)
 			},

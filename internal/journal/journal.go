@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -117,7 +118,8 @@ type Config struct {
 	BatchSize int
 	// IntervalS is the group-commit stream-time interval in seconds: a
 	// batch is committed once an incoming record's stream time runs
-	// this far past the batch's first record. Default 0.25.
+	// this far past the batch's first record. Default 0.25, which also
+	// replaces a non-finite value.
 	IntervalS float64
 	// QueueLen bounds the in-memory queue between Append and the
 	// writer goroutine. Default 4096. A full queue sheds the appended
@@ -230,7 +232,9 @@ func New(cfg Config) (*Writer, error) {
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 64
 	}
-	if cfg.IntervalS <= 0 {
+	if !(cfg.IntervalS > 0) || math.IsInf(cfg.IntervalS, 1) {
+		// NaN and +Inf would make due's interval test never true,
+		// silently leaving commits to BatchSize, Flush and Close.
 		cfg.IntervalS = 0.25
 	}
 	if cfg.QueueLen < 1 {

@@ -165,6 +165,30 @@ func TestWriterIntervalTrigger(t *testing.T) {
 	w.Close()
 }
 
+// TestWriterNonFiniteIntervalDefaults: a NaN or +Inf interval takes
+// the 0.25 s default instead of disabling the interval trigger. The
+// record at 0.3 s commits the first two records on its own, so the
+// Flush commits the third as a second batch.
+func TestWriterNonFiniteIntervalDefaults(t *testing.T) {
+	for _, iv := range []float64{math.NaN(), math.Inf(1)} {
+		var sb syncBuffer
+		w, err := New(Config{W: &sb, BatchSize: 1 << 20, IntervalS: iv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Append(estRec("s", 0.0, 1))
+		w.Append(estRec("s", 0.3, 2))
+		w.Append(estRec("s", 0.35, 3))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := w.Stats(); st.Records != 3 || st.Batches != 2 {
+			t.Errorf("IntervalS=%v: stats = %+v, want 3 records in 2 batches", iv, st)
+		}
+		w.Close()
+	}
+}
+
 func TestWriterDeterministicBytes(t *testing.T) {
 	run := func() []byte {
 		var sb syncBuffer

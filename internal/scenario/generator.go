@@ -8,6 +8,7 @@ import (
 
 	"vihot/internal/core"
 	"vihot/internal/geom"
+	"vihot/internal/journal"
 	"vihot/internal/obs"
 	"vihot/internal/serve"
 	"vihot/internal/stats"
@@ -39,17 +40,14 @@ type GeneratorConfig struct {
 	// Metrics, if set, receives the vihot_scenario_* series (and is
 	// handed to the manager for its vihot_serve_* series).
 	Metrics *obs.Registry
-	// BuildWorkers bounds parallel stream rendering; 0 = GOMAXPROCS.
-	// Stream content is deterministic regardless of build order.
-	BuildWorkers int
 }
 
 // ScenarioReport is one scenario's slice of a generator run.
 type ScenarioReport struct {
-	Scenario  string  `json:"scenario"`
-	Sessions  int     `json:"sessions"`
-	Items     int     `json:"items"`
-	Estimates int     `json:"estimates"`
+	Scenario  string `json:"scenario"`
+	Sessions  int    `json:"sessions"`
+	Items     int    `json:"items"`
+	Estimates int    `json:"estimates"`
 	// MedianErrDeg/P95ErrDeg/MaxErrDeg summarize the per-estimate
 	// absolute yaw error against the trajectory ground truth.
 	MedianErrDeg float64 `json:"median_err_deg"`
@@ -67,8 +65,8 @@ type ScenarioReport struct {
 
 // Report is a full generator run summary.
 type Report struct {
-	Sessions  int               `json:"sessions"`
-	Scenarios []ScenarioReport  `json:"scenarios"`
+	Sessions  int                   `json:"sessions"`
+	Scenarios []ScenarioReport      `json:"scenarios"`
 	Counters  serve.CounterSnapshot `json:"counters"`
 }
 
@@ -149,8 +147,9 @@ func Generate(gc GeneratorConfig) (*Report, error) {
 	}
 
 	// Render every stream. Rendering dominates wall time (it is the
-	// cabin's electromagnetics), so it fans out across BuildWorkers;
-	// stream content depends only on (config, session index).
+	// cabin's electromagnetics), so it fans out across GOMAXPROCS
+	// workers; stream content depends only on (config, session index),
+	// never on build order.
 	type job struct{ mix, session int }
 	var jobs []job
 	for i, n := range counts {
@@ -159,10 +158,7 @@ func Generate(gc GeneratorConfig) (*Report, error) {
 		}
 	}
 	streams := make([]*Stream, len(jobs))
-	workers := gc.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) && len(jobs) > 0 {
 		workers = len(jobs)
 	}
@@ -218,10 +214,12 @@ func Generate(gc GeneratorConfig) (*Report, error) {
 			estimates[id] = append(estimates[id], est)
 			mu.Unlock()
 		},
-		OnHealth: func(id string, t float64, from, to serve.Health) {
-			mu.Lock()
-			trans[id]++
-			mu.Unlock()
+		OnEvent: func(rec journal.Record) {
+			if rec.Kind == journal.KindHealth {
+				mu.Lock()
+				trans[rec.Session]++
+				mu.Unlock()
+			}
 		},
 	})
 	defer mgr.Close()

@@ -90,8 +90,8 @@ func TestGoldenScenarioAccuracy(t *testing.T) {
 		}
 		g, w := gotRep.Scenarios[i], wantRep.Scenarios[i]
 		for _, d := range []struct {
-			field      string
-			got, want  float64
+			field     string
+			got, want float64
 		}{
 			{"median_err_deg", g.MedianErrDeg, w.MedianErrDeg},
 			{"p95_err_deg", g.P95ErrDeg, w.P95ErrDeg},

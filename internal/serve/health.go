@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vihot/internal/core"
+	"vihot/internal/journal"
 )
 
 // Health is a session's degradation state. The state machine is
@@ -19,7 +20,7 @@ import (
 // The primary driver is CSI starvation: the gap between the session
 // clock and the last usable (sanitized, in-order) CSI sample. Small
 // gaps degrade confidence; larger gaps switch the session to coasting
-// on the camera or the tracker's forecast; beyond StaleAfterS the
+// on the camera or the tracker's forecast; beyond staleAfterS the
 // session is STALE and emits nothing at all. Secondary sensor outages
 // (IMU or camera silence after the sensor has been seen once) cap the
 // state at DEGRADED — tracking still works, but the steering
@@ -28,7 +29,7 @@ import (
 // Recovery is hysteretic: when CSI resumes after a coasting-or-worse
 // episode the tracker is restarted (its window would otherwise span
 // the blackout) and the session holds at DEGRADED until CSI has been
-// flowing for RecoverAfterS, so one stray packet cannot flap the
+// flowing for recoverAfterS, so one stray packet cannot flap the
 // session back to HEALTHY.
 type Health uint8
 
@@ -74,65 +75,32 @@ func (h Health) Confidence() float64 {
 	}
 }
 
-// HealthConfig tunes the per-session degradation state machine. The
-// zero value enables the machine with the defaults below; set Disable
-// to opt out entirely (no watchdogs, no coasting, no suppression).
-type HealthConfig struct {
-	// Disable turns the state machine off.
-	Disable bool
-	// DegradedAfterS is the CSI gap (seconds of stream time) that
-	// leaves HEALTHY. Default 0.25 — two orders of magnitude above the
-	// link's normal worst-case inter-frame gap (~34 ms), so CSMA
-	// backoff never trips it.
-	DegradedAfterS float64
-	// CoastAfterS is the CSI gap that enters COASTING. Default 0.75.
-	CoastAfterS float64
-	// StaleAfterS is the CSI gap that enters STALE. Default 1.5.
-	StaleAfterS float64
-	// RecoverAfterS is how long CSI must flow again after a
+// Degradation-machine thresholds, in seconds of stream time
+// (DESIGN.md §8).
+const (
+	// degradedAfterS is the CSI gap that leaves HEALTHY — two orders of
+	// magnitude above the link's normal worst-case inter-frame gap
+	// (~34 ms), so CSMA backoff never trips it.
+	degradedAfterS = 0.25
+	// coastAfterS is the CSI gap that enters COASTING.
+	coastAfterS = 0.75
+	// staleAfterS is the CSI gap that enters STALE.
+	staleAfterS = 1.5
+	// recoverAfterS is how long CSI must flow again after a
 	// coasting-or-worse episode before the session re-enters HEALTHY.
-	// Default 0.5.
-	RecoverAfterS float64
-	// CoastEveryS throttles coasted estimates. Default 0.1 — a 10 Hz
-	// heartbeat, deliberately below the tracker's healthy cadence so a
-	// coasting session is visibly degraded in its output rate too.
-	CoastEveryS float64
-	// SensorOutageS is how long the IMU or camera may fall silent —
+	recoverAfterS = 0.5
+	// coastEveryS throttles coasted estimates: a 10 Hz heartbeat,
+	// deliberately below the tracker's healthy cadence so a coasting
+	// session is visibly degraded in its output rate too.
+	coastEveryS = 0.1
+	// sensorOutageS is how long the IMU or camera may fall silent —
 	// once that sensor has been seen at all — before the session is
-	// flagged DEGRADED. Default 1.0, matching the pipeline's own IMU
-	// watchdog.
-	SensorOutageS float64
-	// FreshCameraS is how recent the last valid camera estimate must
+	// flagged DEGRADED; it matches the pipeline's own IMU watchdog.
+	sensorOutageS = 1.0
+	// freshCameraS is how recent the last valid camera estimate must
 	// be for coasting to relay it instead of the tracker's forecast.
-	// Default 0.2.
-	FreshCameraS float64
-}
-
-// withDefaults fills unset fields.
-func (hc HealthConfig) withDefaults() HealthConfig {
-	if hc.DegradedAfterS <= 0 {
-		hc.DegradedAfterS = 0.25
-	}
-	if hc.CoastAfterS <= 0 {
-		hc.CoastAfterS = 0.75
-	}
-	if hc.StaleAfterS <= 0 {
-		hc.StaleAfterS = 1.5
-	}
-	if hc.RecoverAfterS <= 0 {
-		hc.RecoverAfterS = 0.5
-	}
-	if hc.CoastEveryS <= 0 {
-		hc.CoastEveryS = 0.1
-	}
-	if hc.SensorOutageS <= 0 {
-		hc.SensorOutageS = 1.0
-	}
-	if hc.FreshCameraS <= 0 {
-		hc.FreshCameraS = 0.2
-	}
-	return hc
-}
+	freshCameraS = 0.2
+)
 
 // coastMaxHorizonS bounds how far ahead of its last real estimate a
 // coasting session will extrapolate the tracker's forecast; beyond
@@ -145,7 +113,12 @@ const coastMaxHorizonS = 0.4
 // state) for every processed item — before the item mutates the
 // sensor freshness it is about to prove.
 func (m *Manager) observe(s *session, t float64) {
-	s.advanceClock(t)
+	if !s.haveNow || t > s.now {
+		s.now, s.haveNow = t, true
+		if s.mirror {
+			s.clockBits.Store(math.Float64bits(t))
+		}
+	}
 	target := m.targetHealth(s)
 	if target != s.h {
 		m.transition(s, target)
@@ -155,20 +128,19 @@ func (m *Manager) observe(s *session, t float64) {
 // targetHealth computes the state the session should be in at its
 // current clock.
 func (m *Manager) targetHealth(s *session) Health {
-	hc := &m.cfg.Health
 	h := Healthy
 	if s.haveCSI {
 		switch gap := s.now - s.lastCSI; {
-		case gap > hc.StaleAfterS:
+		case gap > staleAfterS:
 			h = Stale
-		case gap > hc.CoastAfterS:
+		case gap > coastAfterS:
 			h = Coasting
-		case gap > hc.DegradedAfterS:
+		case gap > degradedAfterS:
 			h = Degraded
 		}
 	}
 	if h == Healthy && s.recovering {
-		if s.now-s.recoverStart < hc.RecoverAfterS {
+		if s.now-s.recoverStart < recoverAfterS {
 			h = Degraded
 		} else {
 			s.recovering = false
@@ -178,34 +150,22 @@ func (m *Manager) targetHealth(s *session) Health {
 		// Secondary sensors cap the state at DEGRADED: losing the IMU
 		// or camera does not starve the tracker, it blinds the
 		// steering identifier / fallback.
-		if (s.haveIMU && s.now-s.lastIMU > hc.SensorOutageS) ||
-			(s.haveCam && s.now-s.lastCam > hc.SensorOutageS) {
+		if (s.haveIMU && s.now-s.lastIMU > sensorOutageS) ||
+			(s.haveCam && s.now-s.lastCam > sensorOutageS) {
 			h = Degraded
 		}
 	}
 	return h
 }
 
-// transition records a state change: counters, the published atomic,
-// and the optional OnHealth sink.
+// transition records a state change: the published atomic, then one
+// KindHealth event.
 func (m *Manager) transition(s *session, to Health) {
 	from := s.h
 	s.h = to
 	s.health.Store(uint32(to))
-	switch to {
-	case Degraded:
-		m.counters.toDegraded.Add(1)
-	case Coasting:
-		m.counters.toCoasting.Add(1)
-	case Stale:
-		m.counters.toStale.Add(1)
-	case Healthy:
-		m.counters.recoveries.Add(1)
-	}
-	m.journalHealth(s, from, to)
-	if m.cfg.OnHealth != nil {
-		m.cfg.OnHealth(s.id, s.now, from, to)
-	}
+	m.publish(journal.Record{Kind: journal.KindHealth, Session: s.id, T: s.now,
+		From: uint8(from), To: uint8(to)})
 }
 
 // noteCSIResumed runs on every accepted CSI sample, after observe (so
@@ -214,7 +174,7 @@ func (m *Manager) transition(s *session, to Health) {
 // means the tracker's window spans the blackout: restart it clean and
 // hold the session at DEGRADED until flow is re-established.
 func (m *Manager) noteCSIResumed(s *session, t float64) {
-	if !s.haveCSI || t-s.lastCSI <= m.cfg.Health.CoastAfterS {
+	if !s.haveCSI || t-s.lastCSI <= coastAfterS {
 		return
 	}
 	s.pl.Tracker().Reset()
@@ -231,10 +191,9 @@ func (m *Manager) maybeCoast(s *session, t float64) {
 	if s.h != Coasting || t < s.nextCoast {
 		return
 	}
-	hc := &m.cfg.Health
 	var est core.Estimate
 	switch {
-	case s.haveCam && t-s.lastCam <= hc.FreshCameraS:
+	case s.haveCam && t-s.lastCam <= freshCameraS:
 		// The camera knows yaw, not the seat position — carry the last
 		// tracked position forward exactly like the forecast branch, so
 		// downstream fusion never sees it flicker to zero mid-coast.
@@ -248,15 +207,17 @@ func (m *Manager) maybeCoast(s *session, t float64) {
 		// Nothing credible to coast on yet.
 		return
 	}
-	s.nextCoast = t + hc.CoastEveryS
+	s.nextCoast = t + coastEveryS
 	m.counters.coasted.Add(1)
 	m.emit(s, est)
 }
 
-// emit delivers one estimate to the sinks and counts it.
+// emit publishes one estimate, tagged with the health it was emitted
+// under, then delivers it to OnEstimate.
 func (m *Manager) emit(s *session, est core.Estimate) {
-	m.counters.estimates.Add(1)
-	m.journalEstimate(s, est)
+	m.publish(journal.Record{Kind: journal.KindEstimate, Session: s.id, T: est.Time,
+		Yaw: est.Yaw, Position: int32(est.Position), Source: uint8(est.Source),
+		MatchDist: est.MatchDist, Health: uint8(s.h)})
 	if m.cfg.OnEstimate != nil {
 		m.cfg.OnEstimate(s.id, est)
 	}

@@ -8,6 +8,7 @@ import (
 	"vihot/internal/camera"
 	"vihot/internal/core"
 	"vihot/internal/imu"
+	"vihot/internal/journal"
 	"vihot/internal/serve"
 )
 
@@ -17,7 +18,8 @@ type transition struct {
 	from, to serve.Health
 }
 
-// healthLog collects OnHealth and OnEstimate callbacks. Each estimate
+// healthLog collects the KindHealth events and the estimates a
+// manager publishes. Each estimate
 // is tagged with the session's health read through m.Health inside
 // the sink: the state machine publishes a transition before it emits
 // on the same goroutine, so that is the state the estimate left under.
@@ -38,9 +40,13 @@ func newHealthLog() *healthLog {
 	return &healthLog{trans: map[string][]transition{}, ests: map[string][]estAt{}}
 }
 
-func (l *healthLog) onHealth(id string, t float64, from, to serve.Health) {
+func (l *healthLog) onEvent(rec journal.Record) {
+	if rec.Kind != journal.KindHealth {
+		return
+	}
 	l.mu.Lock()
-	l.trans[id] = append(l.trans[id], transition{t: t, from: from, to: to})
+	l.trans[rec.Session] = append(l.trans[rec.Session],
+		transition{t: rec.T, from: serve.Health(rec.From), to: serve.Health(rec.To)})
 	l.mu.Unlock()
 }
 
@@ -92,7 +98,7 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 	log := newHealthLog()
 	m := serve.New(serve.Config{
 		Deterministic: true,
-		OnHealth:      log.onHealth,
+		OnEvent:       log.onEvent,
 		OnEstimate:    log.onEst,
 	})
 	log.m = m
@@ -172,7 +178,7 @@ func TestHealthForecastCoasting(t *testing.T) {
 	log := newHealthLog()
 	m := serve.New(serve.Config{
 		Deterministic: true,
-		OnHealth:      log.onHealth,
+		OnEvent:       log.onEvent,
 		OnEstimate:    log.onEst,
 	})
 	log.m = m
@@ -212,37 +218,6 @@ func TestHealthForecastCoasting(t *testing.T) {
 	}
 	if snap.Coasted == 0 || !sawForecast {
 		t.Fatalf("no forecast-coasted estimates (Coasted=%d)", snap.Coasted)
-	}
-}
-
-// TestHealthDisable proves the opt-out: no transitions, no coasting,
-// no suppression — the PR-1 behavior exactly.
-func TestHealthDisable(t *testing.T) {
-	f := getFixture(t)
-	log := newHealthLog()
-	m := serve.New(serve.Config{
-		Deterministic: true,
-		Health:        serve.HealthConfig{Disable: true},
-		OnHealth:      log.onHealth,
-		OnEstimate:    log.onEst,
-	})
-	log.m = m
-	defer m.Close()
-	if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range gapStream("s", 4.6, 2.0, 4.0) {
-		m.Push(it)
-	}
-	if len(log.trans["s"]) != 0 {
-		t.Fatalf("disabled machine recorded transitions: %+v", log.trans["s"])
-	}
-	snap := m.Counters().Snapshot()
-	if snap.Coasted != 0 || snap.ToDegraded != 0 || snap.TrackerResets != 0 {
-		t.Fatalf("disabled machine acted: %+v", snap)
-	}
-	if h, ok := m.Health("s"); !ok || h != serve.Healthy {
-		t.Fatalf("disabled Health = %v/%v", h, ok)
 	}
 }
 

@@ -1,20 +1,19 @@
 package serve
 
-import (
-	"math"
+import "vihot/internal/journal"
 
-	"vihot/internal/core"
-	"vihot/internal/journal"
-)
-
-// Journal glue: when Config.Journal is set, the manager appends one
-// record per estimate delivered, per health transition, per idle-TTL
-// reap, and per explicit CloseSession. Appends happen on the same
-// goroutines as the sinks they ride along with (worker goroutines for
-// estimates/health/reaps, the caller for closes) and never block: the
-// journal's write-behind queue absorbs them, and an overflow sheds
-// the record — counted here in JournalDropped, so the serving books
-// extend to durability:
+// publish is the one path every session event leaves the manager
+// through: one record per delivered estimate, health transition,
+// idle-TTL reap and explicit CloseSession. It bumps the counter the
+// record implies, offers the record to Config.Journal, and hands every
+// non-estimate record to Config.OnEvent, so the counters, the journal
+// and the callback can never disagree about what happened.
+//
+// It runs on the goroutine the event happened on (the shard worker
+// for estimates, transitions and reaps, the caller for closes) and
+// never blocks on the journal: its write-behind queue absorbs the
+// append, and an overflow sheds the record — counted here in
+// JournalDropped, so the serving books extend to durability:
 //
 //	JournalAppended + JournalDropped ==
 //	    Estimates + ToDegraded + ToCoasting + ToStale + Recoveries +
@@ -23,71 +22,35 @@ import (
 // after a drain with journaling enabled for the whole run (the
 // KindShutdown trailer is the journal's own and is outside the
 // identity).
-
-// journalAppend offers one record to the configured journal and
-// settles the serve-side accounting.
-func (m *Manager) journalAppend(rec journal.Record) {
-	if m.cfg.Journal.Append(rec) {
-		m.counters.journalAppended.Add(1)
-	} else {
-		m.counters.journalDropped.Add(1)
+func (m *Manager) publish(rec journal.Record) {
+	c := &m.counters
+	switch rec.Kind {
+	case journal.KindEstimate:
+		c.estimates.Add(1)
+	case journal.KindHealth:
+		switch Health(rec.To) {
+		case Degraded:
+			c.toDegraded.Add(1)
+		case Coasting:
+			c.toCoasting.Add(1)
+		case Stale:
+			c.toStale.Add(1)
+		case Healthy:
+			c.recoveries.Add(1)
+		}
+	case journal.KindReap:
+		c.reaped.Add(1)
+	case journal.KindClose:
+		c.closed.Add(1)
 	}
-}
-
-// journalEstimate records one delivered estimate with the health it
-// was emitted under. Called from emit, worker-goroutine-serial per
-// session.
-func (m *Manager) journalEstimate(s *session, est core.Estimate) {
-	if m.cfg.Journal == nil {
-		return
+	if m.cfg.Journal != nil {
+		if m.cfg.Journal.Append(rec) {
+			c.journalAppended.Add(1)
+		} else {
+			c.journalDropped.Add(1)
+		}
 	}
-	m.journalAppend(journal.Record{
-		Kind:      journal.KindEstimate,
-		Session:   s.id,
-		T:         est.Time,
-		Yaw:       est.Yaw,
-		Position:  int32(est.Position),
-		Source:    uint8(est.Source),
-		MatchDist: est.MatchDist,
-		Health:    uint8(s.h),
-	})
-}
-
-// journalHealth records one degradation-state transition.
-func (m *Manager) journalHealth(s *session, from, to Health) {
-	if m.cfg.Journal == nil {
-		return
+	if rec.Kind != journal.KindEstimate && m.cfg.OnEvent != nil {
+		m.cfg.OnEvent(rec)
 	}
-	m.journalAppend(journal.Record{
-		Kind:    journal.KindHealth,
-		Session: s.id,
-		T:       s.now,
-		From:    uint8(from),
-		To:      uint8(to),
-	})
-}
-
-// journalReap records one idle-TTL eviction at the sweep's shard
-// stream time.
-func (m *Manager) journalReap(id string, t float64) {
-	if m.cfg.Journal == nil {
-		return
-	}
-	m.journalAppend(journal.Record{Kind: journal.KindReap, Session: id, T: t})
-}
-
-// journalClose records one explicit CloseSession with the session's
-// last clock and health. The caller goroutine races the shard worker
-// here, which is why the session mirrors both into atomics when
-// journaling is on.
-func (m *Manager) journalClose(s *session) {
-	if m.cfg.Journal == nil {
-		return
-	}
-	m.journalAppend(journal.Record{
-		Kind:    journal.KindClose,
-		Session: s.id,
-		T:       math.Float64frombits(s.clockBits.Load()),
-		Health:  uint8(s.health.Load()),
-	})
 }

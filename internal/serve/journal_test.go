@@ -49,7 +49,7 @@ func TestJournalConservationAndRecovery(t *testing.T) {
 		ts = float64(i) * 0.002
 		m.Push(Item{Session: "est", Kind: KindPhase, Time: ts, Phi: math.Sin(ts * 6)})
 	}
-	ts += 2.0 // a gap past StaleAfterS (and under the forward-jump cap)
+	ts += 2.0 // a gap past staleAfterS (and under the forward-jump cap)
 	for i := 0; i < 600; i++ {
 		tt := ts + float64(i)*0.002
 		m.Push(Item{Session: "est", Kind: KindPhase, Time: tt, Phi: math.Sin(tt * 6)})

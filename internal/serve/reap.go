@@ -1,6 +1,10 @@
 package serve
 
-import "sort"
+import (
+	"sort"
+
+	"vihot/internal/journal"
+)
 
 // Stream-time idle-session reaping (Config.SessionTTLS, DESIGN.md
 // §11). The sweep runs on the shard's own timeline: the shard stream
@@ -40,10 +44,10 @@ func (m *Manager) afterProcess(sh *shard, s *session) {
 
 // sweep evicts every session idle past the TTL at the current shard
 // stream time. Registry mutation and bookkeeping happen under sh.mu
-// (manager bookkeeping nested inside, same lock order as Open);
-// OnReap callbacks run after both locks drop, in sorted session order
-// so replays observe identical callback sequences regardless of map
-// iteration order.
+// (manager bookkeeping nested inside, same lock order as Open); the
+// KindReap events are published after both locks drop, in sorted
+// session order so replays observe identical event sequences
+// regardless of map iteration order.
 func (m *Manager) sweep(sh *shard, ttl float64) {
 	now := sh.clock
 	sh.nextSweep = now + ttl/4
@@ -77,16 +81,8 @@ func (m *Manager) sweep(sh *shard, ttl float64) {
 		m.sessOpen.Add(-float64(n))
 	}
 	sh.mu.Unlock()
-	if len(evicted) == 0 {
-		return
-	}
-	m.counters.reaped.Add(uint64(len(evicted)))
 	sort.Strings(evicted)
-	cb := m.cfg.OnReap
 	for _, id := range evicted {
-		m.journalReap(id, now)
-		if cb != nil {
-			cb(id, now)
-		}
+		m.publish(journal.Record{Kind: journal.KindReap, Session: id, T: now})
 	}
 }

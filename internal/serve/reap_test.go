@@ -5,24 +5,28 @@ import (
 	"testing"
 
 	"vihot/internal/core"
+	"vihot/internal/journal"
 	"vihot/internal/serve"
 )
 
-// reapEvent is one recorded OnReap callback.
+// reapEvent is one recorded KindReap event.
 type reapEvent struct {
 	id string
 	t  float64
 }
 
-// reapLog collects OnReap callbacks, safe for worker goroutines.
+// reapLog collects KindReap events, safe for worker goroutines.
 type reapLog struct {
 	mu     sync.Mutex
 	events []reapEvent
 }
 
-func (l *reapLog) onReap(id string, t float64) {
+func (l *reapLog) onEvent(rec journal.Record) {
+	if rec.Kind != journal.KindReap {
+		return
+	}
 	l.mu.Lock()
-	l.events = append(l.events, reapEvent{id, t})
+	l.events = append(l.events, reapEvent{rec.Session, rec.T})
 	l.mu.Unlock()
 }
 
@@ -44,7 +48,7 @@ func TestReapDeterministicReplay(t *testing.T) {
 		m := serve.New(serve.Config{
 			Deterministic: true,
 			SessionTTLS:   2.0,
-			OnReap:        log.onReap,
+			OnEvent:       log.onEvent,
 		})
 		defer m.Close()
 		for _, id := range []string{"live", "idle-1", "idle-2"} {
@@ -113,7 +117,7 @@ func TestReapNeverFedSession(t *testing.T) {
 	m := serve.New(serve.Config{
 		Deterministic: true,
 		SessionTTLS:   1.0,
-		OnReap:        log.onReap,
+		OnEvent:       log.onEvent,
 	})
 	defer m.Close()
 	for _, id := range []string{"live", "never-fed"} {
@@ -164,7 +168,7 @@ func TestReapConcurrentSmoke(t *testing.T) {
 		Shards:      2,
 		QueueLen:    1 << 15,
 		SessionTTLS: 1.0,
-		OnReap:      log.onReap,
+		OnEvent:     log.onEvent,
 	})
 	defer m.Close()
 	ids := []string{"a", "b", "c", "d", "e", "f"}

@@ -104,15 +104,6 @@ type Config struct {
 	// store. Optional: Open keeps working without it.
 	Profiles *profilestore.Store
 
-	// Health tunes the per-session degradation state machine (see the
-	// Health type). The zero value enables it with defaults;
-	// Health.Disable opts out.
-	Health HealthConfig
-	// OnHealth, if set, receives every degradation-state transition.
-	// Same concurrency contract as OnEstimate: serial per session,
-	// concurrent across shards.
-	OnHealth func(session string, t float64, from, to Health)
-
 	// SessionTTLS, when > 0, enables stream-time idle-session reaping:
 	// a session whose own clock lags its shard's stream clock (the max
 	// admitted timestamp across the shard's sessions) by more than
@@ -123,11 +114,15 @@ type Config struct {
 	// maintains — so it reads no wall clocks and reaps at identical
 	// points across deterministic replays. Zero disables reaping.
 	SessionTTLS float64
-	// OnReap, if set, receives every TTL eviction: the reaped session
-	// and the shard stream time at which the sweep fired. Same
-	// concurrency contract as OnHealth: serial per shard, concurrent
-	// across shards. Not invoked for CloseSession or Close.
-	OnReap func(session string, t float64)
+	// OnEvent, if set, receives every session event that is not an
+	// estimate — health transitions (journal.KindHealth), idle-TTL
+	// reaps (KindReap) and explicit CloseSession calls (KindClose) —
+	// as the very record the journal writes. Transitions and reaps
+	// arrive serially per shard, concurrently across shards, with one
+	// sweep's reaps in sorted session order; closes arrive on the
+	// CloseSession caller's goroutine. Close and CloseDrain publish no
+	// events.
+	OnEvent func(rec journal.Record)
 
 	// Journal, if set, receives one durable record per delivered
 	// estimate, health transition, idle-TTL reap, and explicit
@@ -345,11 +340,12 @@ type session struct {
 	// health mirrors h for lock-free Manager.Health reads.
 	health atomic.Uint32
 
-	// clockBits mirrors now (as math.Float64bits) for the journal's
-	// close records, which are written from the CloseSession caller
-	// while the shard worker may still be advancing the clock. The
-	// mirror is maintained only when mirror is set (journaling on), so
-	// the uninstrumented hot path pays nothing for it.
+	// clockBits mirrors now (as math.Float64bits) for close records,
+	// which are built on the CloseSession caller's goroutine while the
+	// shard worker may still be advancing the clock. The mirror is
+	// maintained only when mirror is set (a Journal or OnEvent reads
+	// close records), so the uninstrumented hot path pays nothing for
+	// it.
 	clockBits atomic.Uint64
 	mirror    bool
 
@@ -484,7 +480,6 @@ func New(cfg Config) *Manager {
 	if cfg.QueueLen < 1 {
 		cfg.QueueLen = 4096
 	}
-	cfg.Health = cfg.Health.withDefaults()
 	m := &Manager{cfg: cfg}
 	// The counters always exist (Snapshot is part of the API); without
 	// a caller-supplied registry they live in a private one. Stage
@@ -594,7 +589,7 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 			mo.stage(id, stage, streamT, durNS)
 		})
 	}
-	sh.sessions[id] = &session{id: id, pl: pl, mirror: m.cfg.Journal != nil}
+	sh.sessions[id] = &session{id: id, pl: pl, mirror: m.cfg.Journal != nil || m.cfg.OnEvent != nil}
 	// Bookkeeping nests inside sh.mu (lock order: shard before
 	// manager, never the reverse) so the count and gauge move
 	// atomically with the registration — Close's purge can therefore
@@ -707,8 +702,8 @@ func (m *Manager) CloseSession(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	m.counters.closed.Add(1)
-	m.journalClose(s)
+	m.publish(journal.Record{Kind: journal.KindClose, Session: id,
+		T: math.Float64frombits(s.clockBits.Load()), Health: uint8(s.health.Load())})
 	return nil
 }
 
@@ -899,18 +894,6 @@ const drainChunk = 256
 // gap a live stream produces.
 const maxForwardJumpS = 5.0
 
-// advanceClock moves the session clock forward. It is maintained even
-// when the health machine is disabled: the forward-jump guard needs
-// it.
-func (s *session) advanceClock(t float64) {
-	if !s.haveNow || t > s.now {
-		s.now, s.haveNow = t, true
-		if s.mirror {
-			s.clockBits.Store(math.Float64bits(t))
-		}
-	}
-}
-
 // admitTime validates an item timestamp against the session clock —
 // finite, and not implausibly far in the future. Rejections count in
 // RejectedTime.
@@ -1014,45 +997,32 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 	if m.obs != nil && it.enqNS != 0 {
 		m.obs.dwell(it.Session, streamTime(it), time.Now().UnixNano()-it.enqNS)
 	}
-	hm := !m.cfg.Health.Disable
 	switch it.Kind {
 	case KindIMU:
 		t := it.IMU.Time
 		if !m.admitTime(s, t) {
 			return
 		}
-		if hm {
-			m.observe(s, t)
-		} else {
-			s.advanceClock(t)
-		}
+		m.observe(s, t)
 		s.pl.PushIMU(it.IMU)
 		if it.IMU.Finite() {
 			s.lastIMU, s.haveIMU = t, true
 		}
-		if hm {
-			m.observe(s, t)
-			m.maybeCoast(s, t)
-		}
+		m.observe(s, t)
+		m.maybeCoast(s, t)
 		return
 	case KindCamera:
 		t := it.Camera.Time
 		if !m.admitTime(s, t) {
 			return
 		}
-		if hm {
-			m.observe(s, t)
-		} else {
-			s.advanceClock(t)
-		}
+		m.observe(s, t)
 		s.pl.PushCamera(it.Camera)
 		if it.Camera.Valid && !math.IsNaN(it.Camera.Yaw) && !math.IsInf(it.Camera.Yaw, 0) {
 			s.lastCam, s.haveCam, s.camYaw = t, true, it.Camera.Yaw
 		}
-		if hm {
-			m.observe(s, t)
-			m.maybeCoast(s, t)
-		}
+		m.observe(s, t)
+		m.maybeCoast(s, t)
 		return
 	case KindFrame:
 		var t0 time.Time
@@ -1075,11 +1045,7 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 				(!s.haveNow || t <= s.now+maxForwardJumpS) {
 				// The frame proves the link is alive at its timestamp
 				// even though it carried no usable CSI.
-				if hm {
-					m.observe(s, t)
-				} else {
-					s.advanceClock(t)
-				}
+				m.observe(s, t)
 			}
 			return
 		}
@@ -1099,21 +1065,15 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 		m.counters.rejectedTime.Add(1)
 		return
 	}
-	if hm {
-		m.observe(s, it.Time)
-		m.noteCSIResumed(s, it.Time)
-	}
+	m.observe(s, it.Time)
+	m.noteCSIResumed(s, it.Time)
 	s.lastCSI, s.haveCSI = it.Time, true
-	if hm {
-		m.observe(s, it.Time)
-	} else {
-		s.advanceClock(it.Time)
-	}
+	m.observe(s, it.Time)
 	est, ok := s.pl.PushCSI(it.Time, it.Phi)
 	if !ok {
 		return
 	}
-	if hm && s.h == Stale {
+	if s.h == Stale {
 		// Defensive: a stale session must stay silent. Unreachable with
 		// the standard transitions (an accepted CSI sample lifts the
 		// session out of STALE before the pipeline runs) but cheap to

@@ -184,9 +184,10 @@ type (
 	// across worker goroutines.
 	SessionManager = serve.Manager
 	// SessionManagerConfig tunes shard count, queue bounds, the
-	// estimate sink, idle-session reaping (SessionTTLS/OnReap), and
-	// pooled-frame recycling (RecycleFrames). See DESIGN.md §11 for
-	// the lifecycle contract.
+	// estimate sink (OnEstimate), the session-event sink (OnEvent:
+	// health transitions, reaps and closes as JournalRecords),
+	// idle-session reaping (SessionTTLS), and pooled-frame recycling
+	// (RecycleFrames). See DESIGN.md §11 for the lifecycle contract.
 	SessionManagerConfig = serve.Config
 	// SessionItem is one ingested sample addressed to a session.
 	SessionItem = serve.Item
@@ -194,15 +195,13 @@ type (
 	SessionCounters = serve.CounterSnapshot
 	// SessionHealth is a session's degradation state (DESIGN.md §8).
 	SessionHealth = serve.Health
-	// SessionHealthConfig tunes the degradation state machine's
-	// staleness thresholds and coasting cadence.
-	SessionHealthConfig = serve.HealthConfig
 )
 
 // Degradation states, in order of decreasing confidence. A session
 // moves down this ladder as its CSI stream starves (stream time, not
-// wall clock) and climbs back after sustained clean flow; query with
-// SessionManager.Health or subscribe via Config.OnHealth.
+// wall clock) and climbs back after sustained clean flow at fixed
+// stream-time thresholds; query with SessionManager.Health or watch
+// the JournalKindHealth records Config.OnEvent receives.
 const (
 	SessionHealthy  = serve.Healthy
 	SessionDegraded = serve.Degraded
@@ -252,6 +251,14 @@ type (
 	JournalSessionState = journal.SessionState
 	// JournalSyncPolicy selects when the journal fsyncs.
 	JournalSyncPolicy = journal.SyncPolicy
+)
+
+// Session event kinds: the JournalRecord.Kind values
+// SessionManagerConfig.OnEvent receives (estimates go to OnEstimate).
+const (
+	JournalKindHealth = journal.KindHealth
+	JournalKindReap   = journal.KindReap
+	JournalKindClose  = journal.KindClose
 )
 
 // Journal fsync policies.
