@@ -72,7 +72,8 @@ cover:
 	$(GO) tool cover -func=COVER.out | tail -1
 
 # Short open-ended fuzz pass over the adversarial-input surfaces, plus
-# the table-driven DTW scan against its per-candidate oracle.
+# the table-driven DTW scan and the CSI phasor cache against their
+# from-scratch oracles.
 fuzz-smoke:
 	$(GO) test -fuzz=^FuzzSanitize$$ -fuzztime=10s ./internal/csi
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wifi
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal
 	$(GO) test -fuzz=FuzzClusterDecode -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzSubsequenceEquivalence -fuzztime=10s ./internal/dtw
+	$(GO) test -fuzz=FuzzPhasorCache -fuzztime=10s ./internal/rf
 
 # Observability overhead benchmark: serving throughput with obs off vs
 # metrics vs metrics+trace (DESIGN.md §9's overhead budget, measured).

@@ -357,17 +357,35 @@ func BenchmarkSanitize(b *testing.B) {
 	}
 }
 
+// BenchmarkSceneCSI renders both antennas' clean CSI. "still" turns
+// the head on rigid antennas, so the static paths repeat every frame
+// and their phasors come from the scene's caches; "vibrating" shakes
+// the antennas with time advancing, so every path moves and no phasor
+// repeats.
 func BenchmarkSceneCSI(b *testing.B) {
-	scene, err := cabin.NewScene(cabin.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf [][]complex128
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := cabin.State{HeadPos: cabin.DriverHeadBase, HeadYaw: float64(i % 150)}
-		buf = scene.CleanCSI(st, buf)
+	vib := cabin.DefaultVibration()
+	for _, bc := range []struct {
+		name      string
+		vibration *cabin.Vibration
+	}{{"still", nil}, {"vibrating", &vib}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := cabin.DefaultConfig()
+			cfg.Vibration = bc.vibration
+			scene, err := cabin.NewScene(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf [][]complex128
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := cabin.State{HeadPos: cabin.DriverHeadBase, HeadYaw: float64(i % 150)}
+				if bc.vibration != nil {
+					st.Time = float64(i) * 0.002
+				}
+				buf = scene.CleanCSI(st, buf)
+			}
+		})
 	}
 }
 

@@ -361,6 +361,64 @@ func TestCleanCSIBufferReuse(t *testing.T) {
 	}
 }
 
+// busyConfig exercises every path kind: passenger, several
+// micro-motions and vibrating antennas.
+func busyConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Passenger = true
+	cfg.Micro = append(cfg.Micro, MicroEyeMotion(), MicroMusicVibration())
+	v := DefaultVibration()
+	cfg.Vibration = &v
+	return cfg
+}
+
+func TestCleanCSIAllocFree(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "busy": busyConfig()} {
+		s := mustScene(t, cfg)
+		buf := s.CleanCSI(defaultState(0), nil)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			st := State{Time: float64(i) * 0.002, HeadPos: DriverHeadBase, HeadYaw: float64(i % 90), WheelDeg: float64(i % 7)}
+			buf = s.CleanCSI(st, buf)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: CleanCSI allocates %v times per call after warm-up", name, allocs)
+		}
+	}
+}
+
+// TestCleanCSICacheInvisible pins the phasor caches as a pure speed-up:
+// a scene that has rendered a long, partly repeating state sequence
+// returns, bit for bit, what a fresh scene computes from scratch.
+func TestCleanCSICacheInvisible(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "busy": busyConfig()} {
+		warm := mustScene(t, cfg)
+		var buf [][]complex128
+		for i := 0; i < 120; i++ {
+			// Hold each head pose for a few frames, then move the head
+			// or the wheel, so slots alternate between reuse and miss.
+			st := State{HeadPos: DriverHeadBase, HeadYaw: float64(i / 4 * 3), WheelDeg: float64(i / 10)}
+			if i%3 == 0 {
+				st.Time = float64(i) * 0.002
+			}
+			if i >= 60 {
+				st.HeadPos = HeadPosition(i%10, 10)
+			}
+			buf = warm.CleanCSI(st, buf)
+			fresh := mustScene(t, cfg).CleanCSI(st, nil)
+			for a := range fresh {
+				for k := range fresh[a] {
+					if math.Float64bits(real(buf[a][k])) != math.Float64bits(real(fresh[a][k])) ||
+						math.Float64bits(imag(buf[a][k])) != math.Float64bits(imag(fresh[a][k])) {
+						t.Fatalf("%s frame %d antenna %d subcarrier %d: warm %v, fresh %v", name, i, a, k, buf[a][k], fresh[a][k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPathsInventory(t *testing.T) {
 	s := mustScene(t, DefaultConfig())
 	paths := s.Paths(defaultState(0))

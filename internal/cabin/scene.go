@@ -90,8 +90,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scene is an immutable cabin description; pair it with a State to
-// compute instantaneous propagation paths and clean CSI.
+// Scene is a cabin description; pair it with a State to compute
+// instantaneous propagation paths and clean CSI. Its geometry never
+// changes after NewScene, but Paths and CleanCSI reuse per-scene
+// buffers and phasor caches, so a Scene is not safe for concurrent
+// use.
 type Scene struct {
 	cfg   Config
 	phone geom.Vec3
@@ -100,8 +103,14 @@ type Scene struct {
 	rxBase    [2]geom.Vec3
 	reflector []staticReflector
 
-	// scratch buffers reused across Paths calls
-	paths []rf.Path
+	// Reused across Paths calls: the paths of both antennas and the
+	// arena their Points live in.
+	paths  []rf.Path
+	points []geom.Vec3
+	// synth renders each RX antenna's paths. Paths emits every
+	// antenna's paths in the same slot order on each call, so a path
+	// that did not move finds its phasors already computed.
+	synth [2]*rf.PhasorCache
 }
 
 // staticReflector is a stationary interior surface: dashboard, roof,
@@ -110,6 +119,7 @@ type Scene struct {
 type staticReflector struct {
 	point        geom.Vec3
 	reflectivity float64
+	txGain       float64 // TX antenna gain toward point, fixed by NewScene
 }
 
 // DriverHeadBase is the nominal driver head center: the middle of the
@@ -185,12 +195,18 @@ func NewScene(cfg Config) (*Scene, error) {
 	// gives the shadowed antenna a head-independent anchor so deep
 	// fades never zero its channel entirely.
 	s.reflector = []staticReflector{
-		{geom.Vec3{X: 0.75, Y: 0.3, Z: 1.2}, 0.45},  // windshield glare point
-		{geom.Vec3{X: 0.45, Y: 0.35, Z: 0.8}, 0.35}, // dashboard / console
-		{geom.Vec3{X: 0, Y: 0.1, Z: 1.5}, 0.3},      // roof liner
-		{geom.Vec3{X: -0.6, Y: 0.4, Z: 1.0}, 0.25},  // passenger seatback
-		{geom.Vec3{X: 0.2, Y: -0.55, Z: 1.0}, 0.3},  // driver door / window
-		{geom.Vec3{X: -1.0, Y: -0.5, Z: 1.1}, 0.3},  // rear shelf / C-pillar
+		{point: geom.Vec3{X: 0.75, Y: 0.3, Z: 1.2}, reflectivity: 0.45},  // windshield glare point
+		{point: geom.Vec3{X: 0.45, Y: 0.35, Z: 0.8}, reflectivity: 0.35}, // dashboard / console
+		{point: geom.Vec3{X: 0, Y: 0.1, Z: 1.5}, reflectivity: 0.3},      // roof liner
+		{point: geom.Vec3{X: -0.6, Y: 0.4, Z: 1.0}, reflectivity: 0.25},  // passenger seatback
+		{point: geom.Vec3{X: 0.2, Y: -0.55, Z: 1.0}, reflectivity: 0.3},  // driver door / window
+		{point: geom.Vec3{X: -1.0, Y: -0.5, Z: 1.1}, reflectivity: 0.3},  // rear shelf / C-pillar
+	}
+	for i := range s.reflector {
+		s.reflector[i].txGain = s.tx.Gain(s.reflector[i].point)
+	}
+	for a := range s.synth {
+		s.synth[a] = rf.NewPhasorCache(cfg.Chan)
 	}
 	return s, nil
 }
@@ -233,30 +249,36 @@ type State struct {
 }
 
 // Paths computes every propagation path TX→RX for both receiver
-// antennas at the given state. The returned slice is reused across
-// calls; copy it if you need to retain it.
+// antennas at the given state. The returned slices, and the Points of
+// every path in them, are reused across calls; copy them if you need
+// to retain them.
 //
 // Path inventory per antenna: LOS, driver-head reflection, static
 // reflectors, steering-wheel/hand reflection, optional passenger-head
 // reflection and micro-motion scatterers. The driver's head shadows
 // any segment passing near it — that blockage is what makes Layout 1
 // asymmetric and informative.
-func (s *Scene) Paths(st State) [][]rf.Path {
+func (s *Scene) Paths(st State) [2][]rf.Path {
 	rx := s.RXPositions(st.Time)
 	head := s.cfg.Head
-	out := make([][]rf.Path, 2)
+	var out [2][]rf.Path
 	s.paths = s.paths[:0]
+	s.points = s.points[:0]
 
 	for a := 0; a < 2; a++ {
 		start := len(s.paths)
 		rxA := rf.Isotropic(rx[a])
 
-		add := func(points []geom.Vec3, reflectivity float64, shadow shadowMode) {
+		// add copies points into the scene's arena, so the caller's
+		// literal never escapes to the heap.
+		add := func(points []geom.Vec3, reflectivity, txGain float64, shadow shadowMode) {
+			first := len(s.points)
+			s.points = append(s.points, points...)
 			p := rf.Path{
-				Points:       points,
+				Points:       s.points[first:len(s.points):len(s.points)],
 				Reflectivity: reflectivity,
 				Blockage:     1,
-				TXGain:       s.tx.Gain(points[1]),
+				TXGain:       txGain,
 				RXGain:       rxA.Gain(points[len(points)-2]),
 			}
 			// Head shadowing applies to every path except the head
@@ -271,50 +293,51 @@ func (s *Scene) Paths(st State) [][]rf.Path {
 			// blocked antenna of Layout 1 relies on.
 			switch shadow {
 			case shadowDetour:
-				for i := 1; i < len(p.Points); i++ {
-					amp, extra := head.BlockEffect(st.HeadPos, p.Points[i-1], p.Points[i], st.HeadYaw)
+				for i := 1; i < len(points); i++ {
+					amp, extra := head.BlockEffect(st.HeadPos, points[i-1], points[i], st.HeadYaw)
 					p.Blockage *= amp
 					p.Extra += extra
 				}
 			case shadowAmplitude:
-				for i := 1; i < len(p.Points); i++ {
-					p.Blockage *= head.Blocks(st.HeadPos, p.Points[i-1], p.Points[i])
+				for i := 1; i < len(points); i++ {
+					p.Blockage *= head.Blocks(st.HeadPos, points[i-1], points[i])
 				}
 			}
 			s.paths = append(s.paths, p)
 		}
 
 		// 1. Line of sight.
-		add([]geom.Vec3{s.phone, rx[a]}, 1, shadowDetour)
+		add([]geom.Vec3{s.phone, rx[a]}, 1, s.tx.Gain(rx[a]), shadowDetour)
 
 		// 2. Driver head reflection (the signal of interest): the
 		// quasi-specular main return plus the weak rotating nose
 		// scatterer.
 		scatter, refl := head.Scatter3D(st.HeadPos, st.HeadYaw, st.HeadPitch, s.phone)
-		add([]geom.Vec3{s.phone, scatter, rx[a]}, refl, shadowNone)
+		add([]geom.Vec3{s.phone, scatter, rx[a]}, refl, s.tx.Gain(scatter), shadowNone)
 		if head.NoseRefl > 0 {
 			nose := head.NoseScatter(st.HeadPos, st.HeadYaw)
-			add([]geom.Vec3{s.phone, nose, rx[a]}, head.NoseRefl, shadowNone)
+			add([]geom.Vec3{s.phone, nose, rx[a]}, head.NoseRefl, s.tx.Gain(nose), shadowNone)
 		}
 
 		// 3. Static interior reflections.
 		for _, r := range s.reflector {
-			add([]geom.Vec3{s.phone, r.point, rx[a]}, r.reflectivity, shadowAmplitude)
+			add([]geom.Vec3{s.phone, r.point, rx[a]}, r.reflectivity, r.txGain, shadowAmplitude)
 		}
 
 		// 4. Steering wheel + hands.
 		hand := s.cfg.Wheel.HandScatter(st.WheelDeg)
-		add([]geom.Vec3{s.phone, hand, rx[a]}, s.cfg.Wheel.Reflectivity, shadowAmplitude)
+		add([]geom.Vec3{s.phone, hand, rx[a]}, s.cfg.Wheel.Reflectivity, s.tx.Gain(hand), shadowAmplitude)
 
 		// 5. Passenger head.
 		if s.cfg.Passenger {
 			ps, prefl := head.Scatter(PassengerHeadBase, st.PassengerYaw, s.phone)
-			add([]geom.Vec3{s.phone, ps, rx[a]}, prefl, shadowAmplitude)
+			add([]geom.Vec3{s.phone, ps, rx[a]}, prefl, s.tx.Gain(ps), shadowAmplitude)
 		}
 
 		// 6. Micro-motion scatterers.
 		for _, m := range s.cfg.Micro {
-			add([]geom.Vec3{s.phone, m.Pos(st.Time), rx[a]}, m.Reflectivity, shadowAmplitude)
+			mp := m.Pos(st.Time)
+			add([]geom.Vec3{s.phone, mp, rx[a]}, m.Reflectivity, s.tx.Gain(mp), shadowAmplitude)
 		}
 
 		out[a] = s.paths[start:len(s.paths):len(s.paths)]
@@ -330,8 +353,8 @@ func (s *Scene) CleanCSI(st State, dst [][]complex128) [][]complex128 {
 	if len(dst) != 2 {
 		dst = make([][]complex128, 2)
 	}
-	for a := 0; a < 2; a++ {
-		dst[a] = rf.CSIAllSubcarriers(paths[a], s.cfg.Chan, dst[a])
+	for a := range paths {
+		dst[a] = s.synth[a].CSI(paths[a], dst[a])
 	}
 	return dst
 }

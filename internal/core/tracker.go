@@ -141,7 +141,7 @@ type Tracker struct {
 	centered [][]float64
 	means    []float64
 
-	window     dsp.Series
+	window     dsp.Window
 	matcher    *dtw.Matcher
 	query      []float64
 	centeredQ  []float64
@@ -321,14 +321,7 @@ func (tk *Tracker) Push(t, phi float64) (Estimate, bool) {
 	tk.lastRawPhi = phi
 	phi = tk.unwrapped
 	// Maintain the sliding window [t-W, t].
-	tk.window = append(tk.window, dsp.Sample{T: t, V: phi})
-	cut := 0
-	for cut < len(tk.window) && tk.window[cut].T < t-tk.cfg.WindowS {
-		cut++
-	}
-	if cut > 0 {
-		tk.window = append(tk.window[:0], tk.window[cut:]...)
-	}
+	tk.window.Push(dsp.Sample{T: t, V: phi}, tk.cfg.WindowS)
 
 	// Position estimation (Sec. 3.4.1): stable phase ⇒ facing front;
 	// match the stable mean against the position fingerprints. Once
@@ -419,13 +412,13 @@ const relockBadCount = 12
 // distance decides the lock — the series matcher is the arbiter the
 // wrapped fingerprints cannot be.
 func (tk *Tracker) estimate(t float64) (Estimate, error) {
-	if len(tk.window) < 2 {
+	if tk.window.Len() < 2 {
 		return Estimate{}, ErrNotReady
 	}
 	// Resample onto exactly W-in-grid-samples points: a window edge
 	// shaved by CSMA gaps must not shrink the query.
 	var err error
-	tk.query, err = tk.window.ResampleValuesN(tk.windowSamples(), tk.query)
+	tk.query, err = tk.window.Series().ResampleValuesN(tk.windowSamples(), tk.query)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -586,7 +579,7 @@ func (tk *Tracker) Forecast(est Estimate, horizonS float64) float64 {
 
 // Reset clears all run-time state, keeping the profile.
 func (tk *Tracker) Reset() {
-	tk.window = tk.window[:0]
+	tk.window.Reset()
 	tk.stable.Reset()
 	tk.posIdx = 0
 	tk.posLocked = false

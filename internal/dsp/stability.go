@@ -8,17 +8,15 @@ import "math"
 // road (0° head orientation): a stable CSI phase means no head motion,
 // which is the anchor for position estimation (Sec. 3.4.1).
 //
-// The detector keeps a sliding time window of samples in a ring
-// buffer; Push is O(window length) in the worst case but amortized
-// O(1) for steady streams.
+// The detector keeps a sliding time window of samples; Push costs two
+// passes over the window to take its mean and standard deviation.
 type StabilityDetector struct {
 	window    float64 // seconds of history to consider
 	threshold float64 // max std-dev considered stable
 	minHold   float64 // seconds the signal must stay stable
 
-	buf        []Sample  // ring storage, time-ordered
-	scratch    []float64 // reused window values
-	stableFrom float64   // time stability began, NaN when unstable
+	win        Window
+	stableFrom float64 // time stability began, NaN when unstable
 	lastMean   float64
 }
 
@@ -48,28 +46,16 @@ func NewStabilityDetector(window, threshold, minHold float64) *StabilityDetector
 // considered stable. Samples must arrive in time order; out-of-order
 // samples are dropped.
 func (d *StabilityDetector) Push(t, v float64) bool {
-	if n := len(d.buf); n > 0 && t < d.buf[n-1].T {
+	if buf := d.win.Series(); len(buf) > 0 && t < buf[len(buf)-1].T {
 		return d.Stable(t)
 	}
-	d.buf = append(d.buf, Sample{T: t, V: v})
-	// Evict samples older than the window.
-	cut := 0
-	for cut < len(d.buf) && d.buf[cut].T < t-d.window {
-		cut++
-	}
-	if cut > 0 {
-		d.buf = append(d.buf[:0], d.buf[cut:]...)
-	}
-	if len(d.buf) < 2 {
+	d.win.Push(Sample{T: t, V: v}, d.window)
+	buf := d.win.Series()
+	if len(buf) < 2 {
 		return false
 	}
-	vs := d.scratch[:0]
-	for _, s := range d.buf {
-		vs = append(vs, s.V)
-	}
-	d.scratch = vs
-	std := stdOf(vs)
-	d.lastMean = meanOf(vs)
+	var std float64
+	d.lastMean, std = meanStd(buf)
 	if std <= d.threshold {
 		if math.IsNaN(d.stableFrom) {
 			d.stableFrom = t
@@ -92,18 +78,22 @@ func (d *StabilityDetector) Mean() float64 { return d.lastMean }
 
 // Reset clears all detector state.
 func (d *StabilityDetector) Reset() {
-	d.buf = d.buf[:0]
+	d.win.Reset()
 	d.stableFrom = math.NaN()
 	d.lastMean = 0
 }
 
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// meanStd returns the mean and population standard deviation of the
+// sample values, with the same float operations as stdOf.
+func meanStd(s Series) (mean, std float64) {
+	for _, x := range s {
+		mean += x.V
 	}
-	var s float64
-	for _, x := range xs {
-		s += x
+	mean /= float64(len(s))
+	var ss float64
+	for _, x := range s {
+		d := x.V - mean
+		ss += d * d
 	}
-	return s / float64(len(xs))
+	return mean, math.Sqrt(ss / float64(len(s)))
 }

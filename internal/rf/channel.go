@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"vihot/internal/geom"
 )
@@ -103,8 +102,10 @@ func (p Path) Length() float64 { return geom.PathLength(p.Points...) + p.Extra }
 // unit transmit amplitude: free-space spreading 1/d, reflection loss,
 // blockage, and antenna gains. Paths shorter than a centimeter are
 // clamped to avoid near-field singularities.
-func (p Path) Amplitude() float64 {
-	d := p.Length()
+func (p Path) Amplitude() float64 { return p.amplitude(p.Length()) }
+
+// amplitude is Amplitude for a path whose Length is d.
+func (p Path) amplitude(d float64) float64 {
 	if d < 0.01 {
 		d = 0.01
 	}
@@ -131,61 +132,74 @@ func CSI(paths []Path, c Channelization, k int) complex128 {
 	return h
 }
 
-// wavelengths caches the per-subcarrier λ table for each
-// channelization seen. Channelization is a small comparable value
-// type and simulations use a handful of them, so a lock-free sync.Map
-// of immutable slices serves every goroutine without recomputing the
-// divides per frame.
-var wavelengths sync.Map // Channelization -> []float64
-
-// wavelengthTable returns the cached λ_k table for c.
-func wavelengthTable(c Channelization) []float64 {
-	if v, ok := wavelengths.Load(c); ok {
-		return v.([]float64)
-	}
-	t := make([]float64, c.NSubcarriers)
-	for k := range t {
-		t[k] = c.Wavelength(k)
-	}
-	wavelengths.Store(c, t)
-	return t
+// PhasorCache synthesizes the channel response on every subcarrier
+// of one channelization, remembering each path slot's phasors between
+// calls. It is the simulator's per-frame inner loop.
+//
+// Most paths repeat bit for bit from one frame to the next: the
+// static reflectors set the absolute phase but not its variation
+// (footnote 2 of the paper), and a still head leaves its own paths
+// unchanged too. Slot i keeps the key (Amplitude, 2π·Length) of the
+// i-th path it last saw and that path's row of NSubcarriers phasors;
+// a row is recomputed only when its key differs, compared as bit
+// patterns so ±0 and NaN never alias. Every phasor is the float a
+// fresh cmplx.Rect would give, summed in path order, so the output is
+// bit-identical to synthesizing from scratch.
+//
+// A PhasorCache is not safe for concurrent use.
+type PhasorCache struct {
+	lambdas []float64    // λ_k per subcarrier
+	keys    []phasorKey  // per slot: the key its row was computed for
+	rows    []complex128 // per slot: NSubcarriers phasors, slot-major
 }
 
-// CSIAllSubcarriers fills dst (length NSubcarriers, grown as needed)
-// with the channel response on every subcarrier and returns it.
-//
-// This is the simulator's per-frame inner loop, so the per-path
-// geometry — polyline length (a sqrt chain) and amplitude — is hoisted
-// out of the subcarrier sweep and λ_k comes from the cached table; the
-// remaining loop is one sincos and one divide per path per subcarrier.
-// The hoisted values are the very same floats the per-subcarrier CSI
-// calls computed, so the output is bit-identical.
-func CSIAllSubcarriers(paths []Path, c Channelization, dst []complex128) []complex128 {
-	if cap(dst) < c.NSubcarriers {
-		dst = make([]complex128, c.NSubcarriers)
+// phasorKey is a path's amplitude and phase numerator as bit patterns.
+// The zero key is an amplitude of +0, which never needs a row, so new
+// slots start empty without a separate valid flag.
+type phasorKey struct{ amp, num uint64 }
+
+// NewPhasorCache returns an empty cache bound to c.
+func NewPhasorCache(c Channelization) *PhasorCache {
+	pc := &PhasorCache{lambdas: make([]float64, c.NSubcarriers)}
+	for k := range pc.lambdas {
+		pc.lambdas[k] = c.Wavelength(k)
 	}
-	dst = dst[:c.NSubcarriers]
-	// Phase on subcarrier k is (2π·length)/λ_k: precompute the
-	// numerator per path, preserving path order (the coherent sum is
-	// order-sensitive in floating point).
-	var ampArr, numArr [16]float64
-	amps, nums := ampArr[:0], numArr[:0]
-	for _, p := range paths {
-		a := p.Amplitude()
+	return pc
+}
+
+// CSI fills dst (length NSubcarriers, grown as needed) with the
+// coherent sum of paths on every subcarrier and returns it. Paths of
+// zero amplitude contribute nothing. Callers get the most reuse by
+// keeping each path in the same slot from call to call.
+func (pc *PhasorCache) CSI(paths []Path, dst []complex128) []complex128 {
+	n := len(pc.lambdas)
+	if cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	if len(paths) > len(pc.keys) {
+		pc.keys = append(pc.keys, make([]phasorKey, len(paths)-len(pc.keys))...)
+		pc.rows = append(pc.rows, make([]complex128, len(paths)*n-len(pc.rows))...)
+	}
+	for i := range paths {
+		d := paths[i].Length()
+		a := paths[i].amplitude(d)
 		if a == 0 {
 			continue
 		}
-		amps = append(amps, a)
-		nums = append(nums, 2*math.Pi*p.Length())
-	}
-	lambdas := wavelengthTable(c)
-	for k := range dst {
-		lambda := lambdas[k]
-		var h complex128
-		for i, a := range amps {
-			h += cmplx.Rect(a, nums[i]/lambda)
+		// Phase on subcarrier k is (2π·length)/λ_k.
+		num := 2 * math.Pi * d
+		row := pc.rows[i*n : (i+1)*n]
+		if key := (phasorKey{math.Float64bits(a), math.Float64bits(num)}); pc.keys[i] != key {
+			pc.keys[i] = key
+			for k, lambda := range pc.lambdas {
+				row[k] = cmplx.Rect(a, num/lambda)
+			}
 		}
-		dst[k] = h
+		for k, h := range row {
+			dst[k] += h
+		}
 	}
 	return dst
 }

@@ -151,6 +151,39 @@ func TestCSIMovingScattererChangesPhase(t *testing.T) {
 	}
 }
 
+// CSIAllSubcarriers is the phasor cache's oracle: the channel
+// response on every subcarrier synthesized from scratch, one sincos
+// per path per subcarrier, with the per-path geometry hoisted out of
+// the subcarrier sweep. PhasorCache.CSI must match it bit for bit.
+func CSIAllSubcarriers(paths []Path, c Channelization, dst []complex128) []complex128 {
+	if cap(dst) < c.NSubcarriers {
+		dst = make([]complex128, c.NSubcarriers)
+	}
+	dst = dst[:c.NSubcarriers]
+	// Phase on subcarrier k is (2π·length)/λ_k: precompute the
+	// numerator per path, preserving path order (the coherent sum is
+	// order-sensitive in floating point).
+	var ampArr, numArr [16]float64
+	amps, nums := ampArr[:0], numArr[:0]
+	for _, p := range paths {
+		a := p.Amplitude()
+		if a == 0 {
+			continue
+		}
+		amps = append(amps, a)
+		nums = append(nums, 2*math.Pi*p.Length())
+	}
+	for k := range dst {
+		lambda := c.Wavelength(k)
+		var h complex128
+		for i, a := range amps {
+			h += cmplx.Rect(a, nums[i]/lambda)
+		}
+		dst[k] = h
+	}
+	return dst
+}
+
 func TestCSIAllSubcarriers(t *testing.T) {
 	c := Channel2G4()
 	paths := []Path{{
@@ -166,11 +199,14 @@ func TestCSIAllSubcarriers(t *testing.T) {
 			t.Fatalf("subcarrier %d mismatch", k)
 		}
 	}
-	// Buffer reuse.
+	// The cache agrees with the oracle and reuses the provided buffer.
 	buf := make([]complex128, 0, 64)
-	out := CSIAllSubcarriers(paths, c, buf)
+	out := NewPhasorCache(c).CSI(paths, buf)
 	if cap(out) != 64 {
 		t.Error("did not reuse provided buffer")
+	}
+	if bad := firstBitMismatch(out, got); bad >= 0 {
+		t.Fatalf("subcarrier %d: cache %v, oracle %v", bad, out[bad], got[bad])
 	}
 }
 
