@@ -99,27 +99,23 @@ type Scene struct {
 	cfg   Config
 	phone geom.Vec3
 
-	tx        rf.Antenna
-	rxBase    [2]geom.Vec3
-	reflector []staticReflector
+	tx     rf.Antenna
+	rxBase [2]geom.Vec3
+	// reflector holds the stationary interior surfaces: dashboard,
+	// roof, seats, window frames. Static paths contribute to the
+	// absolute CSI phase but not to its variation (footnote 2 of the
+	// paper). Their TX gains are fixed by NewScene.
+	reflector []scatterer
 
 	// Reused across Paths calls: the paths of both antennas and the
 	// arena their Points live in.
 	paths  []rf.Path
 	points []geom.Vec3
+	scat   []scatterer // this call's scatter points, shared by both antennas
 	// synth renders each RX antenna's paths. Paths emits every
 	// antenna's paths in the same slot order on each call, so a path
 	// that did not move finds its phasors already computed.
 	synth [2]*rf.PhasorCache
-}
-
-// staticReflector is a stationary interior surface: dashboard, roof,
-// seats, window frames. Static paths contribute to the absolute CSI
-// phase but not to its variation (footnote 2 of the paper).
-type staticReflector struct {
-	point        geom.Vec3
-	reflectivity float64
-	txGain       float64 // TX antenna gain toward point, fixed by NewScene
 }
 
 // DriverHeadBase is the nominal driver head center: the middle of the
@@ -194,7 +190,7 @@ func NewScene(cfg Config) (*Scene, error) {
 	// phasor the head modulation rides on). The rear-shelf reflector
 	// gives the shadowed antenna a head-independent anchor so deep
 	// fades never zero its channel entirely.
-	s.reflector = []staticReflector{
+	s.reflector = []scatterer{
 		{point: geom.Vec3{X: 0.75, Y: 0.3, Z: 1.2}, reflectivity: 0.45},  // windshield glare point
 		{point: geom.Vec3{X: 0.45, Y: 0.35, Z: 0.8}, reflectivity: 0.35}, // dashboard / console
 		{point: geom.Vec3{X: 0, Y: 0.1, Z: 1.5}, reflectivity: 0.3},      // roof liner
@@ -204,6 +200,7 @@ func NewScene(cfg Config) (*Scene, error) {
 	}
 	for i := range s.reflector {
 		s.reflector[i].txGain = s.tx.Gain(s.reflector[i].point)
+		s.reflector[i].shadow = shadowAmplitude
 	}
 	for a := range s.synth {
 		s.synth[a] = rf.NewPhasorCache(cfg.Chan)
@@ -226,6 +223,16 @@ func (s *Scene) RXPositions(t float64) [2]geom.Vec3 {
 		rx[1] = rx[1].Add(v.Offset(t, 1))
 	}
 	return rx
+}
+
+// scatterer is the bounce point of one single-bounce path, with what
+// Paths needs of it for either RX antenna: its reflectivity, the TX
+// antenna's gain toward it and how the driver's head shadows it.
+type scatterer struct {
+	point        geom.Vec3
+	reflectivity float64
+	txGain       float64
+	shadow       shadowMode
 }
 
 // shadowMode selects how the driver's head affects a path.
@@ -264,6 +271,34 @@ func (s *Scene) Paths(st State) [2][]rf.Path {
 	var out [2][]rf.Path
 	s.paths = s.paths[:0]
 	s.points = s.points[:0]
+
+	// Every path but the LOS bounces off one scatter point. The point
+	// and the TX gain toward it do not depend on the RX antenna, so
+	// they are computed once per call, in path order.
+	s.scat = s.scat[:0]
+	scatter := func(point geom.Vec3, reflectivity float64, shadow shadowMode) {
+		s.scat = append(s.scat, scatterer{point, reflectivity, s.tx.Gain(point), shadow})
+	}
+	// Driver head reflection (the signal of interest): the
+	// quasi-specular main return plus the weak rotating nose scatterer.
+	hp, refl := head.Scatter3D(st.HeadPos, st.HeadYaw, st.HeadPitch, s.phone)
+	scatter(hp, refl, shadowNone)
+	if head.NoseRefl > 0 {
+		scatter(head.NoseScatter(st.HeadPos, st.HeadYaw), head.NoseRefl, shadowNone)
+	}
+	// Static interior reflections.
+	s.scat = append(s.scat, s.reflector...)
+	// Steering wheel + hands.
+	scatter(s.cfg.Wheel.HandScatter(st.WheelDeg), s.cfg.Wheel.Reflectivity, shadowAmplitude)
+	// Passenger head.
+	if s.cfg.Passenger {
+		ps, prefl := head.Scatter(PassengerHeadBase, st.PassengerYaw, s.phone)
+		scatter(ps, prefl, shadowAmplitude)
+	}
+	// Micro-motion scatterers.
+	for _, m := range s.cfg.Micro {
+		scatter(m.Pos(st.Time), m.Reflectivity, shadowAmplitude)
+	}
 
 	for a := 0; a < 2; a++ {
 		start := len(s.paths)
@@ -306,38 +341,9 @@ func (s *Scene) Paths(st State) [2][]rf.Path {
 			s.paths = append(s.paths, p)
 		}
 
-		// 1. Line of sight.
-		add([]geom.Vec3{s.phone, rx[a]}, 1, s.tx.Gain(rx[a]), shadowDetour)
-
-		// 2. Driver head reflection (the signal of interest): the
-		// quasi-specular main return plus the weak rotating nose
-		// scatterer.
-		scatter, refl := head.Scatter3D(st.HeadPos, st.HeadYaw, st.HeadPitch, s.phone)
-		add([]geom.Vec3{s.phone, scatter, rx[a]}, refl, s.tx.Gain(scatter), shadowNone)
-		if head.NoseRefl > 0 {
-			nose := head.NoseScatter(st.HeadPos, st.HeadYaw)
-			add([]geom.Vec3{s.phone, nose, rx[a]}, head.NoseRefl, s.tx.Gain(nose), shadowNone)
-		}
-
-		// 3. Static interior reflections.
-		for _, r := range s.reflector {
-			add([]geom.Vec3{s.phone, r.point, rx[a]}, r.reflectivity, r.txGain, shadowAmplitude)
-		}
-
-		// 4. Steering wheel + hands.
-		hand := s.cfg.Wheel.HandScatter(st.WheelDeg)
-		add([]geom.Vec3{s.phone, hand, rx[a]}, s.cfg.Wheel.Reflectivity, s.tx.Gain(hand), shadowAmplitude)
-
-		// 5. Passenger head.
-		if s.cfg.Passenger {
-			ps, prefl := head.Scatter(PassengerHeadBase, st.PassengerYaw, s.phone)
-			add([]geom.Vec3{s.phone, ps, rx[a]}, prefl, s.tx.Gain(ps), shadowAmplitude)
-		}
-
-		// 6. Micro-motion scatterers.
-		for _, m := range s.cfg.Micro {
-			mp := m.Pos(st.Time)
-			add([]geom.Vec3{s.phone, mp, rx[a]}, m.Reflectivity, s.tx.Gain(mp), shadowAmplitude)
+		add([]geom.Vec3{s.phone, rx[a]}, 1, s.tx.Gain(rx[a]), shadowDetour) // line of sight
+		for _, sc := range s.scat {
+			add([]geom.Vec3{s.phone, sc.point, rx[a]}, sc.reflectivity, sc.txGain, sc.shadow)
 		}
 
 		out[a] = s.paths[start:len(s.paths):len(s.paths)]

@@ -7,14 +7,17 @@
 // The implementation uses the classic two-row dynamic program with an
 // optional Sakoe-Chiba band and early abandoning, and exposes a
 // Matcher that reuses its scratch so the tracker's hot loop runs
-// allocation-free. One row kernel (relaxRow) serves both entry points.
-// It touches only the O(w) band slice of each row plus one guard cell,
-// so a banded Distance costs O(n·w + m) rather than O(n·m).
-// Subsequence, the tracker's search, builds each query×profile local
-// cost once per scan and each candidate length's band once, so its
-// candidates only add table entries in the order Distance would. See
-// DESIGN.md §16 for the row-arena invariant and the bit-exactness
-// argument that gates both.
+// allocation-free. One branch-free row kernel (relaxRow) serves both
+// entry points. It touches only the O(w) band slice of each row plus
+// one guard cell, so a banded Distance costs O(n·w + m) rather than
+// O(n·m). Subsequence, the tracker's search, builds each query×profile
+// local cost once per scan and each candidate length's band once, so
+// its candidates only add table entries in the order Distance would.
+// One unbanded open-start pass over that table bounds every candidate
+// from below, exactly in float arithmetic, and the scan skips each
+// candidate whose bound already reaches the best score. See DESIGN.md
+// §16 for the row-arena invariant and the bit-exactness arguments that
+// gate all of this.
 package dtw
 
 import (
@@ -70,9 +73,7 @@ func localCosts(dst []float64, a float64, b []float64, circular bool) {
 			if d > 2*math.Pi {
 				d = math.Mod(d, 2*math.Pi)
 			}
-			if d > math.Pi {
-				d = 2*math.Pi - d
-			}
+			d = min(d, 2*math.Pi-d) // the seam fold, without a branch
 		}
 		dst[k] = d
 	}
@@ -124,14 +125,20 @@ func bandRow(i int, slope float64, w, mm int) (lo, hi int) {
 // The two scratch rows double as the banded cost arena: the row
 // kernel initializes only the cells the band visits, carrying a
 // high-water mark across rows so stale cells from earlier calls are
-// never read. Subsequence adds the query×profile cost table and one
-// candidate length's band; both are rebuilt by every call.
+// never read. Subsequence adds the query×profile cost table, its
+// open-start bound row and one candidate length's band; all are
+// rebuilt by every call.
 type Matcher struct {
 	prev, cur []float64
 	da, db    []float64 // derivative scratch
 	rowCost   []float64 // Distance: local costs of one band row
 	cost      []float64 // Subsequence: query×profile local costs, row-major
+	ends      []float64 // Subsequence: open-start bound per end column
 	lo, hi    []int     // Subsequence: band [lo[i-1], hi[i-1]] of row i
+
+	// cells counts the DP cells relaxed over the Matcher's life: the
+	// unit of matching work.
+	cells int
 }
 
 // NewMatcher returns a Matcher with scratch capacity for series of up
@@ -150,6 +157,13 @@ func NewMatcher(capHint int) *Matcher {
 // absolute difference as the local cost and the standard step pattern
 // {(i-1,j), (i,j-1), (i-1,j-1)}. With early abandoning enabled the
 // result may be +Inf, meaning "worse than the abandon threshold".
+//
+// NaN: a NaN local cost (from a NaN sample, from two equal infinities,
+// or from an infinite sample in Circular mode) spreads to every cell it
+// can reach through any of the three steps, and every band cell can
+// reach the final one. So the result is NaN whenever a NaN cost lies
+// inside the band, unless a row before it already abandoned; a row
+// holding a NaN cell never abandons.
 //
 // The kernel clears and visits only the band slice [lo-1, hi] of each
 // row. Invariant: at the start of row i, prev is initialized (inf or a
@@ -214,6 +228,7 @@ func (m *Matcher) Distance(a, b []float64, opt Options) (float64, error) {
 		rc := m.rowCost[:hi-lo+1]
 		localCosts(rc, a[i-1], b[lo-1:], circ)
 		rowMin := relaxRow(prev, cur, rc, lo, hi, prevHi)
+		m.cells += len(rc)
 		prevHi = hi
 		if abandon > 0 {
 			la := lastAdd
@@ -247,12 +262,16 @@ func initRow0(prev []float64, hi1 int) int {
 //
 //	cur[j] = cost[j-lo] + min(prev[j], prev[j-1], cur[j-1])
 //
-// Unreachable cells stay +Inf. prevHi is the previous row's hi.
-// Because band edges never move left, the previous row wrote prev on
-// [lo_{i-1}-1, prevHi], so the only cells this row reads that nobody
-// wrote are prev(prevHi, hi], which are inf-filled first, and the
-// guard cell cur[lo-1], which the j == lo step reads as its deletion
-// predecessor.
+// The loop has no data-dependent branch: Go's builtin min compiles to
+// a compare-free select. Unreachable cells come out +Inf because every
+// local cost is ≥ 0 or +Inf. A NaN predecessor, whichever of the three
+// it is, makes the cell NaN, and a NaN cell makes the row minimum NaN.
+//
+// prevHi is the previous row's hi. Because band edges never move left,
+// the previous row wrote prev on [lo_{i-1}-1, prevHi], so the only
+// cells this row reads that nobody wrote are prev(prevHi, hi], which
+// are inf-filled first, and the guard cell cur[lo-1], which the
+// j == lo step reads as its deletion predecessor.
 func relaxRow(prev, cur, cost []float64, lo, hi, prevHi int) float64 {
 	inf := math.Inf(1)
 	for j := prevHi + 1; j <= hi; j++ {
@@ -268,23 +287,9 @@ func relaxRow(prev, cur, cost []float64, lo, hi, prevHi int) float64 {
 	rowMin := inf
 	for k, ck := range cost {
 		up := p[k]
-		best := up // insertion
-		if diag < best {
-			best = diag // match
-		}
-		if left < best {
-			best = left // deletion
-		}
-		diag = up
-		if math.IsInf(best, 1) {
-			c[k], left = inf, inf
-			continue
-		}
-		v := ck + best
-		c[k], left = v, v
-		if v < rowMin {
-			rowMin = v
-		}
+		v := ck + min(min(up, diag), left)
+		c[k], left, diag = v, v, up
+		rowMin = min(rowMin, v)
 	}
 	return rowMin
 }

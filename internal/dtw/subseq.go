@@ -39,11 +39,17 @@ func (m Match) End() int { return m.Start + m.Length }
 //     differences of both), about 65 KB for the tracker's 10-sample
 //     query against an 815-sample profile. Each banded row of a
 //     candidate is a contiguous slice of that table.
+//   - Open-start bound. One unbanded DP over the whole table, whose
+//     first row may start at any column, gives for every end column
+//     the distance of the best segment of any length ending there. A
+//     candidate's warping paths are a subset of those, and every cell
+//     is the float minimum over its paths of the sum along each, so
+//     the bound never exceeds the candidate's distance. A candidate
+//     whose bound, normalized, already reaches the best score cannot
+//     strictly beat it and is skipped before any row is set up. A NaN
+//     bound compares false, so a candidate near a NaN cost still runs.
 //   - Band table. The band [lo, hi] of every row is computed once per
 //     candidate length rather than once per row of every candidate.
-//   - Prescreen. Every warping path pays the first and last cell, so
-//     a candidate whose two corner costs already exceed the threshold
-//     is rejected by two table lookups before any row is set up.
 //
 // The table lives in the Matcher and is rebuilt by every call, so the
 // Matcher's ownership rules are unchanged.
@@ -57,6 +63,7 @@ func (m *Matcher) Subsequence(query, profile []float64, lengths []int, stride in
 	best := Match{Dist: math.Inf(1)}
 	searched := false
 	var q, p []float64 // the aligned series: raw, or first differences
+	var ends []float64 // the open-start bound per end column of p
 	for _, L := range lengths {
 		if L < 1 || L > len(profile) {
 			continue
@@ -68,6 +75,7 @@ func (m *Matcher) Subsequence(query, profile []float64, lengths []int, stride in
 		}
 		if !searched {
 			q, p = m.buildCostTable(query, profile, opt)
+			ends = m.openStartBound(len(q), len(p))
 			searched = true
 		}
 		n, np := len(q), len(p)
@@ -78,14 +86,12 @@ func (m *Matcher) Subsequence(query, profile []float64, lengths []int, stride in
 		lastOff, lastCell := (n-1)*np+mm-1, n > 1 || mm > 1
 		limit := abandonLimit(best.Dist, norm, opt.AbandonAbove)
 		for start := 0; start+mm <= np; start += stride {
+			if ends[start+mm-1]/norm >= best.Dist {
+				continue
+			}
 			var lastAdd float64
-			if limit > 0 {
-				if lastCell {
-					lastAdd = m.cost[lastOff+start]
-				}
-				if m.cost[start]+lastAdd > limit {
-					continue
-				}
+			if limit > 0 && lastCell {
+				lastAdd = m.cost[lastOff+start]
 			}
 			d := m.align(start, n, np, mm, limit, lastAdd)
 			if d /= norm; d < best.Dist {
@@ -133,6 +139,50 @@ func (m *Matcher) buildCostTable(query, profile []float64, opt Options) (q, p []
 	return q, p
 }
 
+// openStartBound runs the DP over the whole n×np cost table with a
+// free start: row 0 is zero at every column and no band applies. It
+// returns ends, where ends[e] is the distance of the query against the
+// best profile segment ending at column e (0-based), over every start
+// and every warping path. Each cell is fl(cost + min(predecessors)),
+// and fl(c + ·) is monotone, so each cell is the float minimum over its
+// paths of the sum along each path. A candidate ending at e runs the
+// same kernel on the same costs over a subset of those paths, so
+// ends[e] is at most its distance, bit for bit.
+//
+// Two rows are relaxed per sweep so their dependency chains overlap.
+// The row is updated in place: the first row's match predecessor is
+// carried in a register before the second row overwrites it.
+func (m *Matcher) openStartBound(n, np int) []float64 {
+	m.ends = grow(m.ends, np)
+	ends := m.ends
+	clear(ends)
+	inf := math.Inf(1)
+	i := 0
+	for ; i+1 < n; i += 2 {
+		c1 := m.cost[i*np : (i+1)*np][:len(ends)]
+		c2 := m.cost[(i+1)*np : (i+2)*np][:len(ends)]
+		// Column k-1 of the input row and of the two new rows. Column 0
+		// is +Inf below row 0; on row 0 it is 0, but row 1's first cell
+		// then also sees up = 0, so +Inf gives the same value.
+		diag, a, b := inf, inf, inf
+		for k, up := range ends {
+			ak := c1[k] + min(min(up, diag), a)
+			b = c2[k] + min(min(ak, a), b)
+			ends[k], diag, a = b, up, ak
+		}
+	}
+	if i < n { // an odd row count leaves one row
+		c := m.cost[i*np : (i+1)*np][:len(ends)]
+		diag, a := inf, inf
+		for k, up := range ends {
+			a = c[k] + min(min(up, diag), a)
+			ends[k], diag = a, up
+		}
+	}
+	m.cells += n * np
+	return ends
+}
+
 // buildBand fills m.lo and m.hi with the band of each row of an n×mm
 // grid, exactly as Distance computes it row by row.
 func (m *Matcher) buildBand(n, mm, window int) {
@@ -151,8 +201,14 @@ func (m *Matcher) buildBand(n, mm, window int) {
 // align runs the banded DP for the candidate segment starting at
 // start, reading row i's local costs from the cost table, and returns
 // its unnormalized distance, or +Inf once a row proves it worse than
-// limit. It is Distance with the corner prescreen already done by the
-// caller, which passes the final cell's cost as lastAdd.
+// limit. The caller passes the final cell's cost as lastAdd.
+//
+// Distance also runs a corner prescreen, the first cell's cost plus
+// lastAdd. align needs none: row 1's minimum is its first cell, since
+// every other row-1 cell adds a cost ≥ 0 to its left neighbour, so the
+// row-1 check is that same sum, even when row 1 is also the last row.
+// When a NaN makes the two disagree, the distance is NaN and cannot
+// win either.
 func (m *Matcher) align(start, n, np, mm int, limit, lastAdd float64) float64 {
 	m.prev = grow(m.prev, mm+1)
 	m.cur = grow(m.cur, mm+1)
@@ -162,10 +218,11 @@ func (m *Matcher) align(start, n, np, mm int, limit, lastAdd float64) float64 {
 		lo, hi := m.lo[i-1], m.hi[i-1]
 		off := (i-1)*np + start - 1 // cost of column j is m.cost[off+j]
 		rowMin := relaxRow(prev, cur, m.cost[off+lo:off+hi+1], lo, hi, prevHi)
+		m.cells += hi - lo + 1
 		prevHi = hi
 		if limit > 0 {
 			la := lastAdd
-			if i == n {
+			if i == n && i > 1 {
 				la = 0 // the final cell is already inside rowMin
 			}
 			if rowMin+la > limit {

@@ -16,6 +16,12 @@ import (
 // one NormalizedDistance per candidate, with the abandon threshold
 // tightened to the best score so far.
 func subsequenceOracle(m *Matcher, query, profile []float64, lengths []int, stride int, opt Options) (Match, error) {
+	return scanOracle(m.NormalizedDistance, query, profile, lengths, stride, opt)
+}
+
+// scanOracle is that scan over a given normalized distance: the
+// Matcher's, or normalizedDistanceOracle on the old row kernel.
+func scanOracle(dist func(a, b []float64, opt Options) (float64, error), query, profile []float64, lengths []int, stride int, opt Options) (Match, error) {
 	if len(query) == 0 || len(profile) == 0 {
 		return Match{}, ErrEmptyInput
 	}
@@ -38,7 +44,7 @@ func subsequenceOracle(m *Matcher, query, profile []float64, lengths []int, stri
 					o.AbandonAbove = bound
 				}
 			}
-			d, err := m.NormalizedDistance(query, seg, o)
+			d, err := dist(query, seg, o)
 			if err != nil {
 				return Match{}, err
 			}
@@ -62,6 +68,20 @@ func subsequenceOracle(m *Matcher, query, profile []float64, lengths []int, stri
 func checkAgainstOracle(t *testing.T, m *Matcher, query, profile []float64, lengths []int, stride int, opt Options) {
 	t.Helper()
 	want, werr := subsequenceOracle(NewMatcher(0), query, profile, lengths, stride, opt)
+	checkMatch(t, m, query, profile, lengths, stride, opt, want, werr)
+}
+
+// checkAgainstOldKernel is checkAgainstOracle with the oracle scan run
+// on the old row kernel. Callers keep to NaN-free costs, the domain
+// where the two kernels agree.
+func checkAgainstOldKernel(t *testing.T, m *Matcher, query, profile []float64, lengths []int, stride int, opt Options) {
+	t.Helper()
+	want, werr := scanOracle(normalizedDistanceOracle, query, profile, lengths, stride, opt)
+	checkMatch(t, m, query, profile, lengths, stride, opt, want, werr)
+}
+
+func checkMatch(t *testing.T, m *Matcher, query, profile []float64, lengths []int, stride int, opt Options, want Match, werr error) {
+	t.Helper()
 	got, gerr := m.Subsequence(query, profile, lengths, stride, opt)
 	if gerr != werr {
 		t.Fatalf("n=%d profile=%d lengths=%v stride=%d opt=%+v: err %v, oracle %v",
@@ -154,9 +174,31 @@ func TestSubsequenceMatchesOracleTies(t *testing.T) {
 	}
 }
 
+// TestSubsequenceNearTieNotSkipped: a later segment that beats the
+// best so far by one ULP, with an open-start bound equal to its own
+// distance, must still win. The bound skips only candidates that reach
+// the best score, with no slack.
+func TestSubsequenceNearTieNotSkipped(t *testing.T) {
+	const d1 = 0.375 // d1/6 is exact, so a one-ULP-smaller d2 stays smaller after normalizing
+	for _, d2 := range []float64{math.Nextafter(d1, 0), d1 * (1 - 1e-9)} {
+		query := []float64{0, 1, 0}
+		profile := []float64{9, 0, 1, d1, 9, 9, 0, 1, d2, 9}
+		m := NewMatcher(0)
+		got, err := m.Subsequence(query, profile, []int{3}, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Start != 6 || got.Dist != d2/6 {
+			t.Fatalf("d2=%v: got %+v, want the segment at 6 with distance %v", d2, got, d2/6)
+		}
+		checkAgainstOracle(t, m, query, profile, []int{3}, 1, Options{})
+	}
+}
+
 // TestSubsequenceMatchesOracleErrors pins the error paths, including
 // their order: in Derivative mode the first one-sample candidate fails
-// the whole search even after longer lengths already matched.
+// the whole search even after longer lengths already matched. A search
+// whose every candidate is abandoned fails too.
 func TestSubsequenceMatchesOracleErrors(t *testing.T) {
 	m := NewMatcher(0)
 	p := randWalk(3, 30)
@@ -175,6 +217,11 @@ func TestSubsequenceMatchesOracleErrors(t *testing.T) {
 		{p[:5], p, []int{4, 1}, Options{Derivative: true}},
 		{p[:5], p[:1], []int{1}, Options{Derivative: true}},
 		{p[:5], p[:2], []int{2}, Options{Derivative: true, Window: 1}},
+		// A one-row grid whose corner costs sum past the caller's
+		// threshold while its first cell alone does not: the oracle's
+		// corner prescreen rejects it, so the scan's row-1 check must.
+		{[]float64{0}, []float64{0, 0, 5}, []int{3}, Options{AbandonAbove: 1}},
+		{[]float64{0, 0}, []float64{0, 0, 0, 5}, []int{4}, Options{Derivative: true, AbandonAbove: 1}},
 	}
 	for _, c := range cases {
 		checkAgainstOracle(t, m, c.query, c.profile, c.lengths, 1, c.opt)
@@ -242,7 +289,8 @@ func TestSubsequenceAllocationFree(t *testing.T) {
 // FuzzSubsequenceEquivalence drives the table-driven scan and the
 // oracle with arbitrary series, lengths, strides and options. Inputs
 // include NaN, ±Inf and values far outside [-π, π], where the cost
-// function takes its slow paths.
+// function takes its slow paths. When no local cost is NaN, the scan
+// must also match the oracle run on the old row kernel.
 func FuzzSubsequenceEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 200, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130}, uint8(3), uint8(8), uint8(2), uint8(1))
 	f.Add([]byte{255, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(0), uint8(1), uint8(6))
@@ -281,6 +329,9 @@ func FuzzSubsequenceEquivalence(f *testing.F) {
 		}
 		lengths := CandidateLengths(n, 0.5, 2, 1+int(flags>>6), len(profile)+2)
 		checkAgainstOracle(t, NewMatcher(0), query, profile, lengths, int(stride%4), opt)
+		if costsNaNFree(query, profile, opt) {
+			checkAgainstOldKernel(t, NewMatcher(0), query, profile, lengths, int(stride%4), opt)
+		}
 	})
 }
 
@@ -290,17 +341,13 @@ func FuzzSubsequenceEquivalence(f *testing.F) {
 // circular costs — what core.Tracker runs per candidate position. The
 // oracle sub-benchmark is the per-candidate loop it replaced.
 func BenchmarkSubsequenceScan(b *testing.B) {
-	rng := stats.NewRNG(5)
-	profile := randWalk(5, 750)
-	query := excerpt(rng, profile, 400, 14, 10, 0.05)
-	lengths := CandidateLengths(len(query), 0.5, 2, 2, len(profile))
-	opt := Options{Window: 8, Circular: true}
+	query, profile, lengths, stride, opt := scanBenchInput()
 	for _, impl := range []struct {
 		name string
 		scan func(*Matcher) (Match, error)
 	}{
-		{"table", func(m *Matcher) (Match, error) { return m.Subsequence(query, profile, lengths, 2, opt) }},
-		{"oracle", func(m *Matcher) (Match, error) { return subsequenceOracle(m, query, profile, lengths, 2, opt) }},
+		{"table", func(m *Matcher) (Match, error) { return m.Subsequence(query, profile, lengths, stride, opt) }},
+		{"oracle", func(m *Matcher) (Match, error) { return subsequenceOracle(m, query, profile, lengths, stride, opt) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			m := NewMatcher(len(profile))
@@ -312,4 +359,13 @@ func BenchmarkSubsequenceScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// scanBenchInput is BenchmarkSubsequenceScan's tracker-shaped input.
+func scanBenchInput() (query, profile []float64, lengths []int, stride int, opt Options) {
+	rng := stats.NewRNG(5)
+	profile = randWalk(5, 750)
+	query = excerpt(rng, profile, 400, 14, 10, 0.05)
+	lengths = CandidateLengths(len(query), 0.5, 2, 2, len(profile))
+	return query, profile, lengths, 2, Options{Window: 8, Circular: true}
 }
