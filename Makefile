@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify build test race vet fmt lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
+.PHONY: verify build test race vet fmt lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-hotpath
 
 # verify is the tier-1 gate: vet + gofmt + the walltime lint + build +
 # full test suite + the race runs that give the concurrency and
@@ -23,20 +23,17 @@ fmt:
 		echo "$$found"; exit 1; \
 	fi; echo "fmt: clean"
 
-# The deterministic packages must never read wall clocks: replay,
-# golden traces, and the stream-time failure detector all depend on
-# stream time alone. The allowlisted files are the known observability
+# The deterministic packages must never read wall clocks: replay and
+# the golden traces depend on stream time alone. The allowlisted files are the known observability
 # seams — stage-latency instrumentation that only runs when obs hooks
-# are installed (core/pipeline.go, core/tracker.go) and the opt-in
-# MeasureHandoff bench path (cluster/handoff.go). Anything else is a
+# are installed (core/pipeline.go, core/tracker.go). Anything else is a
 # determinism regression and fails the gate.
 WALLTIME_PKGS = internal/core internal/dtw internal/csi internal/dsp internal/rf internal/scenario internal/cluster
 lint-walltime:
 	@found=`grep -rn 'time\.Now' $(WALLTIME_PKGS) --include='*.go' \
 		| grep -v '_test\.go' \
 		| grep -v -e '^internal/core/pipeline\.go:' \
-		          -e '^internal/core/tracker\.go:' \
-		          -e '^internal/cluster/handoff\.go:' || true`; \
+		          -e '^internal/core/tracker\.go:' || true`; \
 	if [ -n "$$found" ]; then \
 		echo "lint-walltime: wall-clock reads in deterministic packages:"; \
 		echo "$$found"; exit 1; \
@@ -52,9 +49,9 @@ test:
 # including the crash-recovery soak), the metrics registry (scraped
 # concurrently with the hot path), the profile store's cold-key
 # storms and invalidate-vs-inflight-load races, the
-# scenario generator's concurrent replay, the write-behind journal's
-# concurrent appenders, and the cluster's partition/failover chaos
-# soak only mean something under the race detector.
+# scenario generator's concurrent replay, and the write-behind
+# journal's concurrent appenders only mean something under the race
+# detector.
 race:
 	$(GO) test -race ./internal/serve ./internal/faults ./internal/obs ./internal/profilestore ./internal/scenario ./internal/journal ./internal/cluster
 
@@ -106,9 +103,3 @@ bench-journal:
 # allocation comparison (DESIGN.md §16).
 bench-hotpath:
 	$(GO) run ./cmd/vihot-bench -servejson BENCH_serve.json
-
-# Cluster routing benchmark: direct vs 1-node vs 4-node serving
-# throughput (DESIGN.md §14's ≤15% routing-overhead budget, measured)
-# plus drain-handoff latency percentiles over a loaded member.
-bench-cluster:
-	$(GO) run ./cmd/vihot-bench -clusterjson BENCH_cluster.json

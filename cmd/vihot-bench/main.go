@@ -44,7 +44,6 @@ func main() {
 	serveJSON := flag.String("servejson", "", "run the session-manager scaling matrix and write a JSON baseline to this path (skips the figure benches)")
 	obsJSON := flag.String("obsjson", "", "run the observability overhead benchmark (serve throughput with obs off vs on) and write JSON to this path (skips the figure benches)")
 	journalJSON := flag.String("journaljson", "", "run the durable-journal overhead benchmark (serve throughput with journaling off vs group-commit vs fsync-per-record) and write JSON to this path (skips the figure benches)")
-	clusterJSON := flag.String("clusterjson", "", "run the cluster routing benchmark (direct vs 1-node vs 4-node throughput, drain-handoff latency) and write JSON to this path (skips the figure benches)")
 	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, LRU churn traces) and write JSON to this path (skips the figure benches)")
 	scenarios := flag.String("scenarios", "", "replay a weighted scenario mix through the session manager: \"all\" or \"name:weight,...\" (skips the figure benches)")
 	scenarioSessions := flag.Int("scenario-sessions", 8, "total session count for -scenarios, apportioned across the mix by weight")
@@ -87,13 +86,6 @@ func main() {
 	}
 	if *journalJSON != "" {
 		if err := runJournalBench(*journalJSON, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterJSON != "" {
-		if err := runClusterBench(*clusterJSON, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -121,12 +121,12 @@ type journalFlags struct {
 
 func main() {
 	drivers := flag.Int("drivers", 4, "concurrent simulated drivers")
-	shards := flag.Int("shards", 4, "session-manager worker shards")
+	shards := flag.Int("shards", 4, "session-manager worker shards, at least 1")
 	seconds := flag.Float64("seconds", 12, "simulated trip length per driver")
-	queue := flag.Int("queue", 4096, "per-shard queue bound (items)")
+	queue := flag.Int("queue", 4096, "per-shard queue bound in items, at least 1")
 	seed := flag.Int64("seed", 1, "deterministic simulation seed")
 	sessionTTL := flag.Float64("session-ttl", 0,
-		"reap sessions idle for this many stream-time seconds; 0 disables reaping")
+		"reap sessions idle for this many stream-time seconds, finite and ≥ 0; 0 disables reaping")
 	var ff faultFlags
 	flag.Float64Var(&ff.loss, "loss", 0, "UDP loss probability per datagram")
 	flag.Float64Var(&ff.dup, "dup", 0, "UDP duplication probability per datagram")
@@ -147,7 +147,7 @@ func main() {
 	flag.StringVar(&jf.path, "journal", "",
 		"append estimates/health/reap/close events to this crash-recoverable journal file; empty disables")
 	flag.IntVar(&jf.batch, "journal-batch", 64,
-		"journal group-commit batch size in records (with -journal)")
+		"journal group-commit batch size in records, at least 1 (with -journal)")
 	flag.Float64Var(&jf.intervalS, "journal-interval", 0.25,
 		"journal group-commit interval in stream-time seconds (with -journal)")
 	flag.StringVar(&jf.sync, "journal-sync", "batch",
@@ -200,6 +200,22 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	if jf.path != "" && (!(jf.intervalS > 0) || math.IsInf(jf.intervalS, 1)) {
 		// The journal would quietly substitute its 0.25 s default.
 		return fmt.Errorf("-journal-interval must be a finite positive number of seconds, got %v", jf.intervalS)
+	}
+	// The manager and the journal would quietly substitute their
+	// defaults (4 shards, 4096 items, a 64-record batch) for a size
+	// below 1, and a negative, NaN or infinite TTL would quietly mean
+	// "never reap".
+	if shards < 1 {
+		return fmt.Errorf("-shards must be at least 1, got %d", shards)
+	}
+	if queue < 1 {
+		return fmt.Errorf("-queue must be at least 1, got %d", queue)
+	}
+	if jf.path != "" && jf.batch < 1 {
+		return fmt.Errorf("-journal-batch must be at least 1 with -journal, got %d", jf.batch)
+	}
+	if !(sessionTTL >= 0) || math.IsInf(sessionTTL, 1) {
+		return fmt.Errorf("-session-ttl must be a finite number of seconds ≥ 0, got %v", sessionTTL)
 	}
 	if drivers < 1 {
 		drivers = 1

@@ -36,3 +36,38 @@ func TestRunRejectsBadJournalInterval(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadSizes: a size below 1 for -shards, -queue or
+// -journal-batch, and a -session-ttl that is negative, NaN or infinite,
+// are refused before profiling starts or the journal file is opened,
+// instead of running the manager's or the journal's default.
+func TestRunRejectsBadSizes(t *testing.T) {
+	cases := []struct {
+		flag         string
+		shards       int
+		queue        int
+		ttl          float64
+		journalBatch int
+	}{
+		{flag: "-shards", shards: 0, queue: 64, journalBatch: 64},
+		{flag: "-shards", shards: -2, queue: 64, journalBatch: 64},
+		{flag: "-queue", shards: 1, queue: 0, journalBatch: 64},
+		{flag: "-queue", shards: 1, queue: -1, journalBatch: 64},
+		{flag: "-journal-batch", shards: 1, queue: 64, journalBatch: 0},
+		{flag: "-journal-batch", shards: 1, queue: 64, journalBatch: -5},
+		{flag: "-session-ttl", shards: 1, queue: 64, ttl: -1, journalBatch: 64},
+		{flag: "-session-ttl", shards: 1, queue: 64, ttl: math.NaN(), journalBatch: 64},
+		{flag: "-session-ttl", shards: 1, queue: 64, ttl: math.Inf(1), journalBatch: 64},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "j.vhj")
+		jf := journalFlags{path: path, batch: c.journalBatch, intervalS: 0.25, sync: "batch"}
+		err := run(1, c.shards, 1, c.queue, 1, c.ttl, faultFlags{}, "", "", "", 1, "", jf)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%+v: err = %v, want a %s error", c, err, c.flag)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%+v: journal file created (stat err %v)", c, err)
+		}
+	}
+}

@@ -21,9 +21,6 @@
 // reconstructed state: record counts, the stream-time span, the
 // terminal per-session estimates/health/closure, and whether the file
 // ends cleanly or in a torn record; -repair truncates a torn tail.
-// Run on a cluster member's journal, it also tells where a session
-// went: a drained session ends in a close record on its old node and
-// continues in its new owner's journal.
 package main
 
 import (

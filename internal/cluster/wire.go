@@ -1,3 +1,9 @@
+// Package cluster is the wire format of a multi-host serving tier: the
+// "ViHC" message codec, strict and canonical, with a fuzz gate. The
+// in-process tier that spoke it (ring, router, member nodes, handoff,
+// failure detector) was retired because one serve.Manager per host
+// does the same work for less (DESIGN.md §14); that code is at commit
+// c920864. Nothing on the serving path imports this package.
 package cluster
 
 import (

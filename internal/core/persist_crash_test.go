@@ -1,6 +1,6 @@
 // Crash-safety tests for SaveProfile's atomic temp+fsync+rename path.
 // External test package: the disk-fault injector lives in
-// internal/faults, which (through the cluster injectors) imports core.
+// internal/faults, which (through internal/serve) imports core.
 package core_test
 
 import (

@@ -7,8 +7,8 @@ import (
 )
 
 // Batch resolution: the fleet-open path. A ride-share depot bringing
-// N cars online, or a cluster admitting an N-session scenario mix,
-// asks for N profiles drawn from M ≤ N distinct keys. Resolving them
+// N cars online, or vihot-serve opening an N-car scenario mix, asks
+// for N profiles drawn from M ≤ N distinct keys. Resolving them
 // one Get at a time works (the cache and singleflight already cap the
 // loads at M), but serializes the cold loads; GetMany overlaps them
 // and dedupes duplicate keys inside the batch itself, so the whole

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vihot/internal/core"
@@ -158,5 +161,80 @@ func TestJournalCloseRecordCarriesState(t *testing.T) {
 	}
 	if Health(s.Health) != h {
 		t.Errorf("close record health = %v, live %v", Health(s.Health), h)
+	}
+}
+
+// TestJournalConcurrentHardClose runs real shard workers with the
+// journal on: four goroutines push two sessions each into small
+// queues, then the manager is hard-stopped with whatever backlog is
+// still queued. Every estimate the sink saw must be in the journal,
+// both conservation identities must hold, and the file must recover
+// clean.
+func TestJournalConcurrentHardClose(t *testing.T) {
+	var buf bytes.Buffer
+	jw, err := journal.New(journal.Config{W: &buf, QueueLen: 1 << 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sunk atomic.Uint64
+	m := New(Config{
+		Shards:     4,
+		QueueLen:   1024,
+		Journal:    jw,
+		OnEstimate: func(string, core.Estimate) { sunk.Add(1) },
+	})
+	const pushers, items = 4, 2000
+	prof := testProfile(t)
+	for i := 0; i < 2*pushers; i++ {
+		if err := m.Open(fmt.Sprintf("s%d", i), prof, core.DefaultPipelineConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			// Each pusher owns its two sessions: one writer per session.
+			ids := []string{fmt.Sprintf("s%d", 2*p), fmt.Sprintf("s%d", 2*p+1)}
+			for i := 0; i < items; i++ {
+				ts := float64(i) * 0.002
+				for _, id := range ids {
+					m.Push(Item{Session: id, Kind: KindPhase, Time: ts, Phi: math.Sin(ts * 6)})
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	m.Close()
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := m.Counters().Snapshot()
+	if snap.Estimates == 0 {
+		t.Fatalf("no estimates: %+v", snap)
+	}
+	if got := snap.Processed + snap.DroppedStale + snap.DroppedUnknown + snap.DroppedClosed + snap.RejectedKind; got != snap.Total() {
+		t.Fatalf("item books: total %d, accounted %d: %+v", snap.Total(), got, snap)
+	}
+	events := snap.Estimates + snap.ToDegraded + snap.ToCoasting + snap.ToStale +
+		snap.Recoveries + snap.SessionsReaped + snap.SessionsClosed
+	if snap.JournalAppended != events || snap.JournalDropped != 0 || snap.JournalErrors != 0 {
+		t.Fatalf("journal books: appended %d dropped %d errors %d, events %d",
+			snap.JournalAppended, snap.JournalDropped, snap.JournalErrors, events)
+	}
+	if sunk.Load() != snap.Estimates {
+		t.Fatalf("sink saw %d estimates, counters say %d", sunk.Load(), snap.Estimates)
+	}
+	res, err := journal.Recover(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CleanShutdown || res.Diag.Truncated {
+		t.Fatalf("clean close recovered dirty: %+v", res.Diag)
+	}
+	if got := uint64(res.Counts[journal.KindEstimate]); got != sunk.Load() {
+		t.Fatalf("journal holds %d estimates, the sink saw %d", got, sunk.Load())
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,24 @@ func testFrame(t float64) *csi.Frame {
 		{1 + 1i, 1 - 1i, 2, 1i},
 		{1, 1i, 1 + 2i, -1},
 	}}
+}
+
+// TestTTLNotPositiveNeverArmsSweep: a SessionTTLS that is not > 0 —
+// negative or NaN — disables reaping, so no shard ever arms its idle
+// sweep. A NaN TTL used to arm one at clock+NaN, which fell due on
+// every processed item and walked the session map each time.
+func TestTTLNotPositiveNeverArmsSweep(t *testing.T) {
+	for _, ttl := range []float64{math.NaN(), -1} {
+		m := New(Config{Deterministic: true, SessionTTLS: ttl})
+		pushSweep(t, m, "s", 50)
+		for i, sh := range m.shards {
+			if sh.haveClock || sh.nextSweep != 0 {
+				t.Errorf("TTL %v: shard %d armed its sweep (haveClock=%v nextSweep=%v)",
+					ttl, i, sh.haveClock, sh.nextSweep)
+			}
+		}
+		m.Close()
+	}
 }
 
 // TestWorkerZeroesDrainedRingSlots pins the frame-retention fix: after

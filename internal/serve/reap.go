@@ -22,7 +22,9 @@ import (
 // itself touches shared state.
 func (m *Manager) afterProcess(sh *shard, s *session) {
 	ttl := m.cfg.SessionTTLS
-	if ttl <= 0 || s == nil || !s.haveNow {
+	// !(ttl > 0), not ttl <= 0: a NaN TTL would arm a sweep at
+	// clock+NaN that falls due on every item.
+	if !(ttl > 0) || s == nil || !s.haveNow {
 		return
 	}
 	if !sh.haveClock {

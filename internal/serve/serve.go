@@ -112,7 +112,8 @@ type Config struct {
 	// TTL from the first sweep that sees them. The sweep runs on the
 	// stream's own timeline — the clocks the health machine already
 	// maintains — so it reads no wall clocks and reaps at identical
-	// points across deterministic replays. Zero disables reaping.
+	// points across deterministic replays. Zero, a negative value or
+	// NaN disables reaping.
 	SessionTTLS float64
 	// OnEvent, if set, receives every session event that is not an
 	// estimate — health transitions (journal.KindHealth), idle-TTL

@@ -31,7 +31,6 @@ import (
 	"net/http"
 
 	"vihot/internal/camera"
-	"vihot/internal/cluster"
 	"vihot/internal/core"
 	"vihot/internal/csi"
 	"vihot/internal/imu"
@@ -328,31 +327,3 @@ func ServeObs(addr string, r *MetricsRegistry, tr *StreamTracer) (*http.Server, 
 	srv, _, err := obs.Serve(addr, r, tr)
 	return srv, err
 }
-
-// Distributed serving: the consistent-hash cluster tier of
-// internal/cluster, re-exported for embedding a multi-node fleet —
-// sessions hashed onto N member nodes, profiles replicated on open,
-// stream-time heartbeat failure detection, and session handoff on
-// drain and failover by reopening each session on its new owner
-// (DESIGN.md §14).
-type (
-	// Cluster is the coordinator: ring, routing directory, failure
-	// detector, and handoff engine over N in-process member nodes.
-	Cluster = cluster.Cluster
-	// ClusterConfig sets the static membership and tunes heartbeats,
-	// the per-node serving template (per-node journals and estimate
-	// sinks go there), and fault/observability hooks.
-	ClusterConfig = cluster.Config
-	// ClusterStats is a snapshot of the coordinator's ledger; Routed ==
-	// Delivered + the three attributed drop counters, exactly.
-	ClusterStats = cluster.Stats
-	// ClusterHandoffEvent is one session transfer (drain or failover).
-	ClusterHandoffEvent = cluster.HandoffEvent
-)
-
-// NewCluster starts a distributed serving tier over the given static
-// membership: open sessions with Open (the profile replicates to every
-// live member), feed them with Push/PushBatch, retire a member with
-// DrainNode, and let the stream-time heartbeat fail sessions over when
-// a member dies.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
