@@ -21,7 +21,7 @@ import (
 // with fsync-per-record — the measured cost of durability. The "off"
 // row is the reference; the per-row logical-writes vs syscalls split
 // shows what group commit buys: hundreds of records per Write+Sync at
-// the default batch versus two syscalls per record under SyncAlways.
+// the default batch versus two syscalls per record at batch size 1.
 // DESIGN.md §13 budgets the default-batch overhead under 20%.
 type journalBaseline struct {
 	GoVersion  string             `json:"go_version"`
@@ -112,7 +112,7 @@ func runJournalBench(path string, seed int64) error {
 		if mode != "off" {
 			jcfg := journal.Config{BatchSize: batch, QueueLen: 1 << 17}
 			if mode == "always" {
-				jcfg.Sync = journal.SyncAlways
+				jcfg.BatchSize = 1 // a commit and an fsync per record
 			} else {
 				cell.BatchSize = batch
 			}

@@ -13,7 +13,7 @@
 //	            [-metrics-addr HOST:PORT] [-trace-out FILE]
 //	            [-profile-dir DIR] [-profile-cache N]
 //	            [-journal FILE] [-journal-batch N] [-journal-interval S]
-//	            [-journal-sync batch|none|always]
+//	            [-journal-sync batch|none]
 //
 // Each simulated driver replays an internal/driver glance-and-steer
 // scenario; the tool prints per-session tracking accuracy against the
@@ -120,9 +120,9 @@ type journalFlags struct {
 }
 
 func main() {
-	drivers := flag.Int("drivers", 4, "concurrent simulated drivers")
+	drivers := flag.Int("drivers", 4, "concurrent simulated drivers, at least 1")
 	shards := flag.Int("shards", 4, "session-manager worker shards, at least 1")
-	seconds := flag.Float64("seconds", 12, "simulated trip length per driver")
+	seconds := flag.Float64("seconds", 12, "simulated trip length per driver in seconds, finite and > 0")
 	queue := flag.Int("queue", 4096, "per-shard queue bound in items, at least 1")
 	seed := flag.Int64("seed", 1, "deterministic simulation seed")
 	sessionTTL := flag.Float64("session-ttl", 0,
@@ -151,7 +151,7 @@ func main() {
 	flag.Float64Var(&jf.intervalS, "journal-interval", 0.25,
 		"journal group-commit interval in stream-time seconds (with -journal)")
 	flag.StringVar(&jf.sync, "journal-sync", "batch",
-		"journal fsync policy: batch, none, or always (with -journal)")
+		"journal fsync policy: batch or none (with -journal; -journal-batch 1 fsyncs every record)")
 	flag.Parse()
 	if err := run(*drivers, *shards, *seconds, *queue, *seed, *sessionTTL, ff, *metricsAddr, *traceOut,
 		*profileDir, *profileCache, *scenarioMix, jf); err != nil {
@@ -204,7 +204,15 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	// The manager and the journal would quietly substitute their
 	// defaults (4 shards, 4096 items, a 64-record batch) for a size
 	// below 1, and a negative, NaN or infinite TTL would quietly mean
-	// "never reap".
+	// "never reap". Fewer than one driver would run one, and a trip
+	// length that is not finite and positive would simulate the
+	// scenario's minimum trip (or, for NaN, panic building it).
+	if drivers < 1 {
+		return fmt.Errorf("-drivers must be at least 1, got %d", drivers)
+	}
+	if !(seconds > 0) || math.IsInf(seconds, 1) {
+		return fmt.Errorf("-seconds must be a finite positive number, got %v", seconds)
+	}
 	if shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", shards)
 	}
@@ -216,9 +224,6 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	}
 	if !(sessionTTL >= 0) || math.IsInf(sessionTTL, 1) {
 		return fmt.Errorf("-session-ttl must be a finite number of seconds ≥ 0, got %v", sessionTTL)
-	}
-	if drivers < 1 {
-		drivers = 1
 	}
 	start := time.Now()
 

@@ -37,32 +37,41 @@ func TestRunRejectsBadJournalInterval(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadSizes: a size below 1 for -shards, -queue or
-// -journal-batch, and a -session-ttl that is negative, NaN or infinite,
-// are refused before profiling starts or the journal file is opened,
+// TestRunRejectsBadSizes: a size below 1 for -drivers, -shards,
+// -queue or -journal-batch, a -seconds that is not finite and
+// positive, and a -session-ttl that is negative, NaN or infinite, are
+// refused before profiling starts or the journal file is opened,
 // instead of running the manager's or the journal's default.
 func TestRunRejectsBadSizes(t *testing.T) {
 	cases := []struct {
 		flag         string
+		drivers      int
 		shards       int
+		seconds      float64
 		queue        int
 		ttl          float64
 		journalBatch int
 	}{
-		{flag: "-shards", shards: 0, queue: 64, journalBatch: 64},
-		{flag: "-shards", shards: -2, queue: 64, journalBatch: 64},
-		{flag: "-queue", shards: 1, queue: 0, journalBatch: 64},
-		{flag: "-queue", shards: 1, queue: -1, journalBatch: 64},
-		{flag: "-journal-batch", shards: 1, queue: 64, journalBatch: 0},
-		{flag: "-journal-batch", shards: 1, queue: 64, journalBatch: -5},
-		{flag: "-session-ttl", shards: 1, queue: 64, ttl: -1, journalBatch: 64},
-		{flag: "-session-ttl", shards: 1, queue: 64, ttl: math.NaN(), journalBatch: 64},
-		{flag: "-session-ttl", shards: 1, queue: 64, ttl: math.Inf(1), journalBatch: 64},
+		{flag: "-drivers", drivers: 0, shards: 1, seconds: 1, queue: 64, journalBatch: 64},
+		{flag: "-drivers", drivers: -3, shards: 1, seconds: 1, queue: 64, journalBatch: 64},
+		{flag: "-seconds", drivers: 1, shards: 1, seconds: 0, queue: 64, journalBatch: 64},
+		{flag: "-seconds", drivers: 1, shards: 1, seconds: -1, queue: 64, journalBatch: 64},
+		{flag: "-seconds", drivers: 1, shards: 1, seconds: math.NaN(), queue: 64, journalBatch: 64},
+		{flag: "-seconds", drivers: 1, shards: 1, seconds: math.Inf(1), queue: 64, journalBatch: 64},
+		{flag: "-shards", drivers: 1, shards: 0, seconds: 1, queue: 64, journalBatch: 64},
+		{flag: "-shards", drivers: 1, shards: -2, seconds: 1, queue: 64, journalBatch: 64},
+		{flag: "-queue", drivers: 1, shards: 1, seconds: 1, queue: 0, journalBatch: 64},
+		{flag: "-queue", drivers: 1, shards: 1, seconds: 1, queue: -1, journalBatch: 64},
+		{flag: "-journal-batch", drivers: 1, shards: 1, seconds: 1, queue: 64, journalBatch: 0},
+		{flag: "-journal-batch", drivers: 1, shards: 1, seconds: 1, queue: 64, journalBatch: -5},
+		{flag: "-session-ttl", drivers: 1, shards: 1, seconds: 1, queue: 64, ttl: -1, journalBatch: 64},
+		{flag: "-session-ttl", drivers: 1, shards: 1, seconds: 1, queue: 64, ttl: math.NaN(), journalBatch: 64},
+		{flag: "-session-ttl", drivers: 1, shards: 1, seconds: 1, queue: 64, ttl: math.Inf(1), journalBatch: 64},
 	}
 	for _, c := range cases {
 		path := filepath.Join(t.TempDir(), "j.vhj")
 		jf := journalFlags{path: path, batch: c.journalBatch, intervalS: 0.25, sync: "batch"}
-		err := run(1, c.shards, 1, c.queue, 1, c.ttl, faultFlags{}, "", "", "", 1, "", jf)
+		err := run(c.drivers, c.shards, c.seconds, c.queue, 1, c.ttl, faultFlags{}, "", "", "", 1, "", jf)
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%+v: err = %v, want a %s error", c, err, c.flag)
 		}

@@ -182,9 +182,11 @@ func replay(args []string) {
 }
 
 // spanStageOrder lists the known stages in pipeline order, so the
-// summary reads top-to-bottom the way an item flows. Unknown stages
-// (future instrumentation) follow in first-seen order.
-var spanStageOrder = []string{"dwell", "sanitize", "match", "track", "fuse"}
+// summary reads top-to-bottom the way an item flows: dwell, sanitize
+// and track tile an item's time from enqueue to the pipeline's return,
+// and match is the DTW interval inside track. Unknown stages (future
+// instrumentation) follow in first-seen order.
+var spanStageOrder = []string{"dwell", "sanitize", "match", "track"}
 
 func spans(args []string) {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"vihot/internal/camera"
 	"vihot/internal/imu"
@@ -67,8 +66,6 @@ type Pipeline struct {
 	// corrupting window resampling and watchdog arithmetic.
 	lastCSITime float64
 	haveCSITime bool
-
-	stageObs StageObserver
 }
 
 // imuWatchdogS fails the steering identifier open when the IMU feed
@@ -105,14 +102,6 @@ func (pl *Pipeline) Tracker() *Tracker { return pl.tracker }
 // the same shared instance the pipeline was built over, never a copy
 // (see the Profile immutability contract).
 func (pl *Pipeline) Profile() *Profile { return pl.tracker.Profile() }
-
-// SetStageObserver installs (or, with nil, removes) a stage-latency
-// observer on the pipeline and its tracker; see the StageObserver
-// type. With none installed the pipeline reads no clocks at all.
-func (pl *Pipeline) SetStageObserver(fn StageObserver) {
-	pl.stageObs = fn
-	pl.tracker.SetStageObserver(fn)
-}
 
 // Steering reports whether the steering identifier currently
 // attributes CSI variation to the wheel.
@@ -200,25 +189,12 @@ func (pl *Pipeline) PushCSI(t, phi float64) (Estimate, bool) {
 		pl.nextFallbackEst = t + pl.tracker.cfg.EstimateEveryS
 		return Estimate{Time: t, Yaw: pl.camYaw, Source: SourceCamera}, true
 	}
-	var t0 time.Time
-	if pl.stageObs != nil {
-		t0 = time.Now()
-	}
 	est, ok := pl.tracker.Push(t, phi)
-	if pl.stageObs != nil {
-		pl.stageObs(StageTrack, t, time.Since(t0).Nanoseconds())
-	}
 	if ok && pl.cfg.CameraFusion && pl.camValid &&
 		est.Source == SourceCSI && t-pl.camTime <= pl.cfg.FusionMaxAgeS {
-		if pl.stageObs != nil {
-			t0 = time.Now()
-		}
 		w := pl.cfg.FusionCSIWeight
 		est.Yaw = w*est.Yaw + (1-w)*pl.camYaw
 		est.Source = SourceFused
-		if pl.stageObs != nil {
-			pl.stageObs(StageFuse, t, time.Since(t0).Nanoseconds())
-		}
 	}
 	return est, ok
 }

@@ -1,35 +1,33 @@
 package core
 
-// StageObserver receives the wall-clock cost of one named pipeline
-// stage, anchored at the stream time of the sample that drove it:
-// streamT is the sensor timestamp (the timeline estimates, golden
-// traces, and the degradation machine run on), durNS the wall-clock
-// nanoseconds the stage just took. internal/serve installs an observer
-// that feeds the obs registry's per-stage histograms and the span
-// tracer.
-//
-// Observers run synchronously on the pipeline's owning goroutine, so
-// they must be cheap and must not call back into the pipeline. A nil
-// observer disables stage timing entirely — the pipeline then reads no
-// clocks, which is what keeps deterministic runs byte-identical and
-// the uninstrumented hot path free.
-type StageObserver func(stage string, streamT float64, durNS int64)
+import "time"
 
-// Stage names reported through StageObserver, in pipeline order. The
-// serving layer adds its own stages (queue dwell) on top; these are
-// the ones the core pipeline itself can time.
+// MatchObserver receives the wall-clock start and end of one DTW
+// match (StageMatch) inside Tracker.Push — the one interval core
+// times itself; internal/serve stamps every other stage boundary.
+//
+// Observers run synchronously on the tracker's owning goroutine, so
+// they must be cheap and must not call back into the tracker. A nil
+// observer disables match timing — the tracker then reads no clocks,
+// which keeps deterministic runs byte-identical and the
+// uninstrumented hot path free.
+type MatchObserver func(start, end time.Time)
+
+// Stage names of an item's path, labelling the per-stage histograms
+// and spans; the serving layer adds its queue-dwell stage in front.
 const (
 	// StageSanitize is raw-frame CSI sanitization (Eq. 3). The
 	// sanitizer lives in internal/csi and is invoked by the serving
-	// layer, which reports this stage.
+	// layer, which times this stage.
 	StageSanitize = "sanitize"
 	// StageMatch is the DTW series-matching step inside an estimate
-	// (Algorithm 1) — the dominant per-estimate cost.
+	// (Algorithm 1) — the dominant per-estimate cost, and the one
+	// interval core times itself (see MatchObserver). It is a
+	// sub-interval of StageTrack.
 	StageMatch = "match"
-	// StageTrack is one full Tracker.Push: window maintenance,
-	// stability detection, matching, and the continuity filter.
-	// StageMatch is a sub-interval of StageTrack.
+	// StageTrack is everything the serving layer does with a sanitized
+	// sample up to Pipeline.PushCSI's return: the session's health
+	// bookkeeping, then window maintenance, stability detection,
+	// matching, the continuity filter and the camera-fusion blend.
 	StageTrack = "track"
-	// StageFuse is the camera-fusion blend applied to a CSI estimate.
-	StageFuse = "fuse"
 )

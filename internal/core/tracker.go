@@ -170,7 +170,7 @@ type Tracker struct {
 	lastRawPhi float64
 	haveRawPhi bool
 
-	stageObs StageObserver
+	matchObs MatchObserver
 }
 
 // maxConsecutiveHolds bounds how long the continuity filter may
@@ -273,10 +273,10 @@ func (tk *Tracker) SetMatcher(m *dtw.Matcher) {
 	}
 }
 
-// SetStageObserver installs (or, with nil, removes) the tracker's
-// stage-latency observer; see the StageObserver type. With none
+// SetMatchObserver installs (or, with nil, removes) the tracker's
+// match-interval observer; see the MatchObserver type. With none
 // installed the tracker reads no clocks at all.
-func (tk *Tracker) SetStageObserver(fn StageObserver) { tk.stageObs = fn }
+func (tk *Tracker) SetMatchObserver(fn MatchObserver) { tk.matchObs = fn }
 
 // Profile returns the profile the tracker matches against. It is
 // shared, not copied (see the Profile immutability contract); callers
@@ -366,12 +366,12 @@ func (tk *Tracker) Push(t, phi float64) (Estimate, bool) {
 	}
 
 	var mt0 time.Time
-	if tk.stageObs != nil {
+	if tk.matchObs != nil {
 		mt0 = time.Now()
 	}
 	est, err := tk.estimate(t)
-	if tk.stageObs != nil {
-		tk.stageObs(StageMatch, t, time.Since(mt0).Nanoseconds())
+	if tk.matchObs != nil {
+		tk.matchObs(mt0, time.Now())
 	}
 	if err != nil {
 		return Estimate{}, false

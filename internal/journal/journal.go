@@ -36,10 +36,11 @@
 //
 // SyncBatch (default) fsyncs after every group commit: at most one
 // batch of records is exposed to OS/power loss. SyncNone leaves
-// syncing to the OS (crash-consistent but not power-fail bounded);
-// SyncAlways commits and fsyncs every record individually — the
-// durability-maximal, throughput-minimal end. Close always flushes,
-// writes a KindShutdown trailer, and fsyncs regardless of policy.
+// syncing to the OS (crash-consistent but not power-fail bounded).
+// SyncBatch with BatchSize 1 commits and fsyncs every record
+// individually — the durability-maximal, throughput-minimal end.
+// Close always flushes, writes a KindShutdown trailer, and fsyncs
+// regardless of policy.
 package journal
 
 import (
@@ -70,8 +71,6 @@ const (
 	SyncBatch SyncPolicy = iota
 	// SyncNone never fsyncs during the run (Close still does).
 	SyncNone
-	// SyncAlways commits and fsyncs every record individually.
-	SyncAlways
 )
 
 // String names the policy for flags and tooling.
@@ -81,8 +80,6 @@ func (p SyncPolicy) String() string {
 		return "batch"
 	case SyncNone:
 		return "none"
-	case SyncAlways:
-		return "always"
 	default:
 		return fmt.Sprintf("SyncPolicy(%d)", uint8(p))
 	}
@@ -95,10 +92,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncBatch, nil
 	case "none":
 		return SyncNone, nil
-	case "always":
-		return SyncAlways, nil
 	default:
-		return 0, fmt.Errorf("journal: unknown sync policy %q (want batch, none, or always)", s)
+		return 0, fmt.Errorf("journal: unknown sync policy %q (want batch or none)", s)
 	}
 }
 
@@ -383,9 +378,6 @@ func (w *Writer) add(b *batch, rec Record) {
 func (w *Writer) due(b *batch, t float64) bool {
 	if b.n >= w.cfg.BatchSize {
 		return true
-	}
-	if w.cfg.Sync == SyncAlways {
-		return b.n > 0
 	}
 	return b.n > 0 && t-b.firstT >= w.cfg.IntervalS
 }

@@ -31,7 +31,7 @@ func TestHandlerServesExposition(t *testing.T) {
 func TestMuxServesPprofAndTrace(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(8)
-	tr.Record("s", "track", 1, 100)
+	tr.Record("s", "track", 1, 0, 100)
 	srv := httptest.NewServer(NewMux(r, tr))
 	defer srv.Close()
 

@@ -27,7 +27,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram observed something")
 	}
 	var tr *Tracer
-	tr.Record("s", "stage", 1, 100)
+	tr.Record("s", "stage", 1, 0, 100)
 	if d := tr.Dump(); d.Recorded != 0 || len(d.Spans) != 0 {
 		t.Fatal("nil tracer recorded something")
 	}
@@ -129,7 +129,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				c.Add(1)
 				g.Add(1)
 				h.Observe(float64(i%1000) * 1e-6)
-				tr.Record("s", "stage", float64(i), int64(i))
+				tr.Record("s", "stage", float64(i), 0, int64(i))
 				if i%100 == 0 {
 					var sb strings.Builder
 					if err := r.WritePrometheus(&sb); err != nil {

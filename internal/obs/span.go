@@ -4,23 +4,22 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
 
 // Span is one recorded unit of pipeline work. It lives on two
 // timelines at once: StreamT anchors the span at the *stream-time*
 // instant of the item being processed (the sensor timestamp the
 // degradation machine and golden traces run on), while StartNS/DurNS
-// record when and for how long the work ran on the *wall clock* of the
-// serving process. Offline analysis joins the two — "how much wall
-// latency did the pipeline spend at stream second 3.2, and in which
-// stage?" — which neither timeline answers alone.
+// record when and for how long the work ran on the serving process's
+// monotonic clock (see Now). Offline analysis joins the two — "how
+// much wall latency did the pipeline spend at stream second 3.2, and
+// in which stage?" — which neither timeline answers alone.
 type Span struct {
 	Session string  `json:"session,omitempty"`
 	Stage   string  `json:"stage"`
 	StreamT float64 `json:"stream_t"` // stream-time anchor (seconds)
-	StartNS int64   `json:"start_ns"` // wall-clock start, ns since the tracer was created
-	DurNS   int64   `json:"dur_ns"`   // wall-clock duration
+	StartNS int64   `json:"start_ns"` // start, ns since the tracer was created
+	DurNS   int64   `json:"dur_ns"`   // duration, ns
 }
 
 // Tracer records spans into a fixed-capacity ring: the newest spans
@@ -29,19 +28,21 @@ type Span struct {
 // mutex hold — tracing is opt-in, and the spans it guards are written
 // from worker goroutines while dumps run concurrently, so the lock is
 // the simplest correct design (the metrics hot path never goes through
-// here). A nil Tracer discards spans.
+// here). Record reads no clock: callers pass the stamps they already
+// took. A nil Tracer discards spans.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    int    // ring slot the next span lands in
-	total   uint64 // spans ever recorded
-	t0      time.Time
-	nowFunc func() time.Time // test seam; nil means time.Now
+	mu    sync.Mutex
+	ring  []Span
+	next  int    // ring slot the next span lands in
+	total uint64 // spans ever recorded
+	t0    int64  // Now at creation; StartNS counts from here
 }
 
-// DefaultTraceCapacity is the ring size NewTracer(0) selects: at the
-// serving stack's ~2k spans/s per busy session it holds the last
-// several seconds of work, at ~64 B a span.
+// DefaultTraceCapacity is the ring size NewTracer(0) selects. The
+// serving stack records three spans per CSI frame (dwell, sanitize,
+// track) and a fourth when a match runs, so a busy ≈500 Hz session
+// makes ~1.5–2k spans/s and the ring holds the last several seconds
+// of work, at ~64 B a span.
 const DefaultTraceCapacity = 65536
 
 // NewTracer returns a tracer holding the most recent capacity spans
@@ -50,30 +51,21 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{ring: make([]Span, 0, capacity), t0: time.Now()}
+	return &Tracer{ring: make([]Span, 0, capacity), t0: Now()}
 }
 
-// now returns the tracer's wall clock.
-func (tr *Tracer) now() time.Time {
-	if tr.nowFunc != nil {
-		return tr.nowFunc()
-	}
-	return time.Now()
-}
-
-// Record appends one span whose work just finished, taking durNS of
-// wall time anchored at stream time streamT. A nil Tracer discards it.
-func (tr *Tracer) Record(session, stage string, streamT float64, durNS int64) {
+// Record appends one span of work that ran from start to end, two Now
+// stamps, anchored at stream time streamT. A nil Tracer discards it.
+func (tr *Tracer) Record(session, stage string, streamT float64, start, end int64) {
 	if tr == nil {
 		return
 	}
-	end := tr.now()
 	sp := Span{
 		Session: session,
 		Stage:   stage,
 		StreamT: streamT,
-		StartNS: end.Sub(tr.t0).Nanoseconds() - durNS,
-		DurNS:   durNS,
+		StartNS: start - tr.t0,
+		DurNS:   end - start,
 	}
 	tr.mu.Lock()
 	if len(tr.ring) < cap(tr.ring) {

@@ -8,11 +8,10 @@ import (
 
 func TestTracerRingOrder(t *testing.T) {
 	tr := NewTracer(4)
-	// Fixed clock: StartNS arithmetic becomes exact.
-	now := tr.t0.Add(time.Millisecond)
-	tr.nowFunc = func() time.Time { return now }
+	// The caller's stamps are the only clock: StartNS arithmetic is exact.
+	end := tr.t0 + int64(time.Millisecond)
 	for i := 0; i < 6; i++ {
-		tr.Record("s", "stage", float64(i), int64(i))
+		tr.Record("s", "stage", float64(i), end-int64(i), end)
 	}
 	d := tr.Dump()
 	if d.Recorded != 6 || d.Overwritten != 2 || len(d.Spans) != 4 {
@@ -30,8 +29,8 @@ func TestTracerRingOrder(t *testing.T) {
 
 func TestTracerPartialRing(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Record("a", "x", 1, 10)
-	tr.Record("b", "y", 2, 20)
+	tr.Record("a", "x", 1, 0, 10)
+	tr.Record("b", "y", 2, 0, 20)
 	d := tr.Dump()
 	if d.Recorded != 2 || d.Overwritten != 0 || len(d.Spans) != 2 {
 		t.Fatalf("dump = %+v", d)
@@ -43,8 +42,8 @@ func TestTracerPartialRing(t *testing.T) {
 
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Record("car-1", "track", 3.25, 1500)
-	tr.Record("", "dwell", 3.5, 900)
+	tr.Record("car-1", "track", 3.25, tr.t0+100, tr.t0+1600)
+	tr.Record("", "dwell", 3.5, tr.t0, tr.t0+900)
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost spans: %+v", d)
 	}
 	got := d.Spans[0]
-	if got.Session != "car-1" || got.Stage != "track" || got.StreamT != 3.25 || got.DurNS != 1500 {
+	if got.Session != "car-1" || got.Stage != "track" || got.StreamT != 3.25 || got.StartNS != 100 || got.DurNS != 1500 {
 		t.Fatalf("span corrupted: %+v", got)
 	}
 	if d.Spans[1].Session != "" {
@@ -68,5 +67,14 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 func TestTracerDefaultCapacity(t *testing.T) {
 	if got := cap(NewTracer(0).ring); got != DefaultTraceCapacity {
 		t.Fatalf("default capacity = %d, want %d", got, DefaultTraceCapacity)
+	}
+}
+
+func TestStampMatchesNow(t *testing.T) {
+	before := Now()
+	s := Stamp(time.Now())
+	after := Now()
+	if s < before || s > after {
+		t.Fatalf("Stamp(time.Now()) = %d outside [%d, %d]", s, before, after)
 	}
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"math"
-
 	"vihot/internal/core"
 	"vihot/internal/obs"
 )
@@ -11,7 +9,7 @@ import (
 // time an item spent in its shard queue between Push and the worker
 // picking it up. Queue dwell is the latency the concurrency model
 // *adds* to the pipeline's own cost, so it gets a first-class stage
-// next to core's sanitize/match/track/fuse.
+// next to core's sanitize/match/track.
 const StageDwell = "dwell"
 
 // newCounters registers the manager's traffic counters in r. Every
@@ -63,14 +61,13 @@ func newCounters(r *obs.Registry) Counters {
 // managerObs is the manager's opt-in instrumentation: per-stage wall
 // latency histograms (when Config.Metrics is set) and span tracing
 // (when Config.Trace is set). The Manager holds a nil *managerObs when
-// neither is configured, and every timing call site is gated on that
-// nil — an uninstrumented manager reads no clocks, which is what keeps
-// the deterministic/golden-trace guarantees intact by construction.
+// neither is configured, and every stamp site is gated on that nil —
+// an uninstrumented manager reads no clocks, which is what keeps the
+// deterministic/golden-trace guarantees intact by construction.
 type managerObs struct {
 	sanitize *obs.Histogram
 	match    *obs.Histogram
 	track    *obs.Histogram
-	fuse     *obs.Histogram
 	dwellH   *obs.Histogram
 	tracer   *obs.Tracer
 }
@@ -86,54 +83,58 @@ func newManagerObs(r *obs.Registry, tr *obs.Tracer) *managerObs {
 		sanitize: stage(core.StageSanitize),
 		match:    stage(core.StageMatch),
 		track:    stage(core.StageTrack),
-		fuse:     stage(core.StageFuse),
 		dwellH: r.Histogram("vihot_serve_queue_dwell_seconds",
 			"wall-clock time items spend in a shard queue before processing", obs.LatencyBuckets()),
 		tracer: tr,
 	}
 }
 
-// stage records one pipeline-stage duration into the matching
-// histogram and the span tracer. It is the Manager's core.StageObserver
-// (bound per session in Open) and also serves the serving layer's own
-// sanitize timing.
-func (mo *managerObs) stage(session, stage string, streamT float64, durNS int64) {
-	switch stage {
-	case core.StageSanitize:
-		mo.sanitize.Observe(float64(durNS) * 1e-9)
-	case core.StageMatch:
-		mo.match.Observe(float64(durNS) * 1e-9)
-	case core.StageTrack:
-		mo.track.Observe(float64(durNS) * 1e-9)
-	case core.StageFuse:
-		mo.fuse.Observe(float64(durNS) * 1e-9)
+// stamps are the obs.Now readings of one item's path, one per stage
+// boundary. Zero marks a boundary the item did not cross: no enq when
+// it skipped the queue (deterministic mode), no sanitized unless it
+// is a KindFrame, no tracked unless it reached Pipeline.PushCSI, no
+// match pair unless Tracker.Push ran a DTW search.
+type stamps struct {
+	enq, deq, sanitized, tracked int64
+	matchStart, matchEnd         int64 // from the tracker's MatchObserver
+}
+
+// item records one item's spans, anchored at stream time streamT:
+// dwell = deq − enq, sanitize = sanitized − deq, track = tracked −
+// (sanitized, or deq without it), and match inside track.
+func (mo *managerObs) item(session string, streamT float64, st *stamps) {
+	if st.enq != 0 {
+		mo.span(mo.dwellH, session, StageDwell, streamT, st.enq, st.deq)
 	}
-	mo.tracer.Record(session, stage, streamT, durNS)
+	from := st.deq
+	if st.sanitized != 0 {
+		mo.span(mo.sanitize, session, core.StageSanitize, streamT, from, st.sanitized)
+		from = st.sanitized
+	}
+	if st.matchEnd != 0 {
+		mo.span(mo.match, session, core.StageMatch, streamT, st.matchStart, st.matchEnd)
+	}
+	if st.tracked != 0 {
+		mo.span(mo.track, session, core.StageTrack, streamT, from, st.tracked)
+	}
 }
 
-// dwell records one queue-dwell interval.
-func (mo *managerObs) dwell(session string, streamT float64, durNS int64) {
-	mo.dwellH.Observe(float64(durNS) * 1e-9)
-	mo.tracer.Record(session, StageDwell, streamT, durNS)
+// span records the interval [start, end] of one stage.
+func (mo *managerObs) span(h *obs.Histogram, session, stage string, streamT float64, start, end int64) {
+	h.Observe(float64(end-start) * 1e-9)
+	mo.tracer.Record(session, stage, streamT, start, end)
 }
 
-// streamTime extracts the stream-time anchor an item carries, for span
-// records. Items whose kind carries no timestamp (or a nil frame)
-// anchor at NaN rather than inventing zero.
+// streamTime is the stream-time instant an item carries, the anchor
+// of its spans.
 func streamTime(it Item) float64 {
 	switch it.Kind {
-	case KindPhase:
-		return it.Time
 	case KindFrame:
-		if it.Frame != nil {
-			return it.Frame.Time
-		}
-		return math.NaN()
+		return it.Frame.Time
 	case KindIMU:
 		return it.IMU.Time
 	case KindCamera:
 		return it.Camera.Time
-	default:
-		return math.NaN()
 	}
+	return it.Time
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"strings"
 	"testing"
 
 	"vihot/internal/core"
+	"vihot/internal/csi"
 	"vihot/internal/obs"
 )
 
@@ -92,6 +95,79 @@ func TestManagerMetricsRegistry(t *testing.T) {
 	}
 	if stages[core.StageTrack] == 0 || stages[core.StageMatch] == 0 {
 		t.Fatalf("stage spans = %v, want track and match present", stages)
+	}
+}
+
+// TestStageSpansTile: one frame's dwell, sanitize and track spans
+// share their boundary stamps, so each starts exactly where the one
+// before it ends, and every match span lies inside its track span.
+func TestStageSpansTile(t *testing.T) {
+	const sessions, frames = 4, 800
+	tr := obs.NewTracer(sessions * frames * 4)
+	m := New(Config{Shards: 2, Metrics: obs.NewRegistry(), Trace: tr})
+	defer m.Close()
+	for s := 0; s < sessions; s++ {
+		if err := m.Open(fmt.Sprint("car-", s), testProfile(t), core.DefaultPipelineConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ {
+		ts := float64(i) * 0.002 // 500 Hz
+		for s := 0; s < sessions; s++ {
+			phi := math.Sin(ts*6 + float64(s))
+			f := &csi.Frame{Time: ts, H: [][]complex128{{cmplx.Rect(1, phi)}, {1}}}
+			m.Push(Item{Session: fmt.Sprint("car-", s), Kind: KindFrame, Frame: f})
+		}
+	}
+	m.Flush()
+
+	type key struct {
+		session string
+		t       float64
+	}
+	paths := map[key]map[string]obs.Span{}
+	d := tr.Dump()
+	if d.Overwritten != 0 {
+		t.Fatalf("tracer overwrote %d spans", d.Overwritten)
+	}
+	for _, sp := range d.Spans {
+		k := key{sp.Session, sp.StreamT}
+		if paths[k] == nil {
+			paths[k] = map[string]obs.Span{}
+		}
+		if _, dup := paths[k][sp.Stage]; dup {
+			t.Fatalf("%v: two %s spans", k, sp.Stage)
+		}
+		paths[k][sp.Stage] = sp
+	}
+	if len(paths) != sessions*frames {
+		t.Fatalf("spans cover %d items, want %d", len(paths), sessions*frames)
+	}
+	matches := 0
+	for k, p := range paths {
+		chain := []string{StageDwell, core.StageSanitize, core.StageTrack}
+		for i, stage := range chain {
+			if _, ok := p[stage]; !ok {
+				t.Fatalf("%v: no %s span (have %v)", k, stage, p)
+			}
+			if i == 0 {
+				continue
+			}
+			prev, next := p[chain[i-1]], p[stage]
+			if prev.StartNS+prev.DurNS != next.StartNS {
+				t.Fatalf("%v: %s %+v does not end where %s %+v starts", k, chain[i-1], prev, stage, next)
+			}
+		}
+		if mt, ok := p[core.StageMatch]; ok {
+			matches++
+			tk := p[core.StageTrack]
+			if mt.StartNS < tk.StartNS || mt.StartNS+mt.DurNS > tk.StartNS+tk.DurNS {
+				t.Fatalf("%v: match %+v outside track %+v", k, mt, tk)
+			}
+		}
+	}
+	if matches == 0 {
+		t.Fatal("no match spans: the stream never drove a DTW search")
 	}
 }
 

@@ -151,11 +151,15 @@ type Config struct {
 	// histograms) for scraping — typically via obs.NewMux. If nil the
 	// counters still work (Counters/Snapshot read them) but stage
 	// timing is disabled: the manager reads no wall clocks at all, so
-	// deterministic runs stay byte-identical.
+	// deterministic runs stay byte-identical. Stage timing reads the
+	// clock once per stage boundary — enqueue, dequeue, sanitized
+	// (KindFrame only) and tracked, as Pipeline.PushCSI returns — plus
+	// twice around a DTW match, so the dwell, sanitize and track spans
+	// tile; track covers health bookkeeping, tracker and fusion blend.
 	Metrics *obs.Registry
-	// Trace, if set, records per-item spans (pipeline stages plus
-	// queue dwell) into the tracer's ring for JSON export. Independent
-	// of Metrics; either enables stage timing.
+	// Trace, if set, records the same per-item spans (dwell, sanitize,
+	// match, track) into the tracer's ring for JSON export.
+	// Independent of Metrics; either enables stage timing.
 	Trace *obs.Tracer
 }
 
@@ -181,7 +185,7 @@ type Item struct {
 	IMU     imu.Reading     // KindIMU
 	Camera  camera.Estimate // KindCamera
 
-	// enqNS is the wall-clock enqueue instant (UnixNano), stamped only
+	// enqNS is the enqueue instant (an obs.Now stamp), taken only
 	// when instrumentation is on, so workers can report queue dwell.
 	enqNS int64
 }
@@ -374,6 +378,10 @@ type session struct {
 	// time at which a sweep first saw it. Worker-only, like the rest.
 	reapRef float64
 	haveRef bool
+
+	// st stamps the item in process when instrumented; the tracker's
+	// match observer writes into it.
+	st stamps
 }
 
 // shard is one worker's world: a bounded FIFO ring of items plus the
@@ -582,15 +590,15 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 	// any worker touches it; results are unchanged (matcher state does
 	// not carry between calls).
 	pl.Tracker().SetMatcher(sh.matcher)
+	s := &session{id: id, pl: pl, mirror: m.cfg.Journal != nil || m.cfg.OnEvent != nil}
 	if m.obs != nil {
-		// Stage observers run on the shard worker that owns the
-		// pipeline; histograms and the tracer absorb the concurrency.
-		mo := m.obs
-		pl.SetStageObserver(func(stage string, streamT float64, durNS int64) {
-			mo.stage(id, stage, streamT, durNS)
+		// The observer runs on the shard worker that owns the pipeline,
+		// inside process, which reports the stamps once the item is done.
+		pl.Tracker().SetMatchObserver(func(start, end time.Time) {
+			s.st.matchStart, s.st.matchEnd = obs.Stamp(start), obs.Stamp(end)
 		})
 	}
-	sh.sessions[id] = &session{id: id, pl: pl, mirror: m.cfg.Journal != nil || m.cfg.OnEvent != nil}
+	sh.sessions[id] = s
 	// Bookkeeping nests inside sh.mu (lock order: shard before
 	// manager, never the reverse) so the count and gauge move
 	// atomically with the registration — Close's purge can therefore
@@ -751,7 +759,7 @@ func (m *Manager) Push(it Item) {
 		return
 	}
 	if m.obs != nil {
-		it.enqNS = time.Now().UnixNano()
+		it.enqNS = obs.Now()
 	}
 	dropped, closed := sh.push(it)
 	if closed {
@@ -863,7 +871,7 @@ func (m *Manager) stampBatch(items []Item) {
 	if m.obs == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := obs.Now()
 	for i := range items {
 		items[i].enqNS = now
 	}
@@ -995,8 +1003,13 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 		return
 	}
 	m.counters.processed.Add(1)
-	if m.obs != nil && it.enqNS != 0 {
-		m.obs.dwell(it.Session, streamTime(it), time.Now().UnixNano()-it.enqNS)
+	// An instrumented manager stamps the item's stage boundaries into
+	// st and reports them once, whichever way the item leaves.
+	var st *stamps
+	if m.obs != nil {
+		st = &s.st
+		*st = stamps{enq: it.enqNS, deq: obs.Now()}
+		defer m.obs.item(s.id, streamTime(it), st)
 	}
 	switch it.Kind {
 	case KindIMU:
@@ -1026,14 +1039,10 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 		m.maybeCoast(s, t)
 		return
 	case KindFrame:
-		var t0 time.Time
-		if m.obs != nil {
-			t0 = time.Now()
-		}
 		ft := it.Frame.Time
 		phi, err := csi.Sanitize(it.Frame, 0, 1)
-		if m.obs != nil {
-			m.obs.stage(s.id, core.StageSanitize, ft, time.Since(t0).Nanoseconds())
+		if st != nil {
+			st.sanitized = obs.Now()
 		}
 		// The sanitizer is the last reader of the raw frame either way:
 		// from here on only (ft, phi) matter, so a pooled frame goes
@@ -1071,6 +1080,9 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 	s.lastCSI, s.haveCSI = it.Time, true
 	m.observe(s, it.Time)
 	est, ok := s.pl.PushCSI(it.Time, it.Phi)
+	if st != nil {
+		st.tracked = obs.Now()
+	}
 	if !ok {
 		return
 	}

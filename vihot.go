@@ -262,9 +262,8 @@ const (
 
 // Journal fsync policies.
 const (
-	JournalSyncBatch  = journal.SyncBatch
-	JournalSyncNone   = journal.SyncNone
-	JournalSyncAlways = journal.SyncAlways
+	JournalSyncBatch = journal.SyncBatch
+	JournalSyncNone  = journal.SyncNone
 )
 
 // NewJournalWriter builds a write-behind journal over an arbitrary
