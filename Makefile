@@ -69,8 +69,8 @@ cover:
 	$(GO) tool cover -func=COVER.out | tail -1
 
 # Short open-ended fuzz pass over the adversarial-input surfaces, plus
-# the table-driven DTW scan and the CSI phasor cache against their
-# from-scratch oracles.
+# the pruned DTW subsequence scan (with and without an incumbent) and
+# the CSI phasor cache against their from-scratch oracles.
 fuzz-smoke:
 	$(GO) test -fuzz=^FuzzSanitize$$ -fuzztime=10s ./internal/csi
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wifi

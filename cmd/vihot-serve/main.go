@@ -225,6 +225,14 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	if !(sessionTTL >= 0) || math.IsInf(sessionTTL, 1) {
 		return fmt.Errorf("-session-ttl must be a finite number of seconds ≥ 0, got %v", sessionTTL)
 	}
+	var syncPolicy journal.SyncPolicy
+	if jf.path != "" {
+		pol, err := journal.ParseSyncPolicy(jf.sync)
+		if err != nil {
+			return fmt.Errorf("-journal-sync: %w", err)
+		}
+		syncPolicy = pol
+	}
 	start := time.Now()
 
 	// With -scenario-mix the cars replay corpus scenarios instead of the
@@ -362,10 +370,6 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 	// last valid record so the new run appends at a record boundary.
 	var jw *journal.Writer
 	if jf.path != "" {
-		pol, err := journal.ParseSyncPolicy(jf.sync)
-		if err != nil {
-			return err
-		}
 		prev, err := journal.RepairFile(jf.path)
 		if err != nil {
 			return err
@@ -389,7 +393,7 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 		jw, err = journal.OpenFile(jf.path, journal.Config{
 			BatchSize: jf.batch,
 			IntervalS: jf.intervalS,
-			Sync:      pol,
+			Sync:      syncPolicy,
 			Metrics:   reg,
 			OnError: func(err error) {
 				fmt.Fprintf(os.Stderr, "journal: %v\n", err)

@@ -37,6 +37,47 @@ func TestRunRejectsBadJournalInterval(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadJournalSync: with -journal set, an unknown
+// -journal-sync policy is refused up front: run prints nothing about
+// profiling and creates no journal file.
+func TestRunRejectsBadJournalSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.vhj")
+	jf := journalFlags{path: path, batch: 64, intervalS: 0.25, sync: "always"}
+	var err error
+	out := captureStdout(t, func() {
+		err = run(1, 1, 1, 64, 1, 0, faultFlags{}, "", "", "", 1, "", jf)
+	})
+	if err == nil || !strings.Contains(err.Error(), "-journal-sync") {
+		t.Errorf("err = %v, want a -journal-sync error", err)
+	}
+	if strings.Contains(out, "profiled") {
+		t.Errorf("stdout has a profiled line; the policy was checked after profiling:\n%s", out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("journal file created (stat err %v)", err)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and
+// returns what fn printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestRunRejectsBadSizes: a size below 1 for -drivers, -shards,
 // -queue or -journal-batch, a -seconds that is not finite and
 // positive, and a -session-ttl that is negative, NaN or infinite, are

@@ -170,6 +170,12 @@ type Tracker struct {
 	lastRawPhi float64
 	haveRawPhi bool
 
+	// The previous estimate's match, whose segment seeds the next
+	// held-position scan.
+	prevMatch    dtw.Match
+	hasPrevMatch bool
+	matches      []posMatch // per-candidate scan results, scratch
+
 	matchObs MatchObserver
 }
 
@@ -402,6 +408,60 @@ func (tk *Tracker) Push(t, phi float64) (Estimate, bool) {
 	return est, true
 }
 
+// switchMargin is how much better another position must match on a
+// periodic rescan to take the lock. Degenerate geometries can make a
+// wrong position's curve fit slightly better than the truth; switching
+// the lock therefore requires a clear margin over the held position,
+// not a photo finish.
+const switchMargin = 0.7
+
+// posMatch is one candidate position's scan result.
+type posMatch struct {
+	match dtw.Match
+	ok    bool
+}
+
+// matchPosition recentres the query with position pos's mean phase, so
+// query and profile share a seam-free representation, and scans that
+// position's profile for its best match within the given incumbent.
+// The held position's scan is also seeded (see seed). ok is false when
+// the scan finds no match within the incumbent.
+func (tk *Tracker) matchPosition(pos int, within float64, opt dtw.Options) (match dtw.Match, ok bool) {
+	mu := tk.means[pos]
+	tk.centeredQ = tk.centeredQ[:0]
+	for _, v := range tk.query {
+		tk.centeredQ = append(tk.centeredQ, geom.PhaseDiff(v, mu))
+	}
+	profile := tk.centered[pos]
+	if pos == tk.posIdx {
+		within = tk.seed(profile, within, opt)
+	}
+	match, err := tk.matcher.SubsequenceWithin(tk.centeredQ, profile, tk.lengths, tk.cfg.Stride, opt, within)
+	return match, err == nil
+}
+
+// seed lowers the incumbent within of a scan of profile to the
+// normalized distance of two of the scan's own candidates, the
+// previous match's segment and the one a stride later, computed with
+// the scan's options. The scan's best can only be lower, so the seed
+// prunes without changing the match. A segment that is not a
+// candidate of this scan is left out.
+func (tk *Tracker) seed(profile []float64, within float64, opt dtw.Options) float64 {
+	if !tk.hasPrevMatch {
+		return within
+	}
+	L := tk.prevMatch.Length
+	for _, start := range [2]int{tk.prevMatch.Start, tk.prevMatch.Start + tk.cfg.Stride} {
+		if start%tk.cfg.Stride != 0 || start+L > len(profile) {
+			continue
+		}
+		if d, err := tk.matcher.NormalizedDistance(tk.centeredQ, profile[start:start+L], opt); err == nil && d < within {
+			within = d
+		}
+	}
+	return within
+}
+
 // relockBadCount is how many consecutive high-distance estimates
 // trigger a full position re-scan.
 const relockBadCount = 12
@@ -458,6 +518,38 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 	}
 	tk.scratchIdx = candidates
 
+	// Scan each candidate position. The held position's scan is seeded
+	// from the previous match. A rescan scans the held position first:
+	// another position wins only with a distance at most switchMargin
+	// times the held one and below every position scanned before it,
+	// so that bound is an exact incumbent for the rest (DESIGN §16).
+	// The matches are then read back in candidate order, so ties
+	// resolve as if every position had been scanned in turn.
+	opt := dtw.Options{Window: tk.cfg.DTWBand, Circular: true}
+	var heldScan posMatch
+	within := math.Inf(1)
+	if rescan {
+		heldScan.match, heldScan.ok = tk.matchPosition(tk.posIdx, within, opt)
+		if heldScan.ok {
+			within = switchMargin * heldScan.match.Dist
+		}
+	}
+	tk.matches = tk.matches[:0]
+	for _, pos := range candidates {
+		var pm posMatch
+		switch {
+		case !rescan:
+			pm.match, pm.ok = tk.matchPosition(pos, math.Inf(1), opt)
+		case pos == tk.posIdx:
+			pm = heldScan
+		default:
+			if pm.match, pm.ok = tk.matchPosition(pos, within, opt); pm.ok {
+				within = min(within, pm.match.Dist)
+			}
+		}
+		tk.matches = append(tk.matches, pm)
+	}
+
 	var (
 		best       dtw.Match
 		bestPos    = -1
@@ -465,19 +557,9 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 		anyBestPos = -1
 		held       = dtw.Match{Dist: math.Inf(1)} // this scan's match for the held position
 	)
-	for _, pos := range candidates {
-		// Recentre the query with this position's mean phase so query
-		// and profile share a seam-free representation.
-		mu := tk.means[pos]
-		tk.centeredQ = tk.centeredQ[:0]
-		for _, v := range tk.query {
-			tk.centeredQ = append(tk.centeredQ, geom.PhaseDiff(v, mu))
-		}
-		match, err := tk.matcher.Subsequence(
-			tk.centeredQ, tk.centered[pos], tk.lengths, tk.cfg.Stride,
-			dtw.Options{Window: tk.cfg.DTWBand, Circular: true},
-		)
-		if err != nil {
+	for i, pos := range candidates {
+		match := tk.matches[i].match
+		if !tk.matches[i].ok {
 			continue
 		}
 		if anyBestPos < 0 || match.Dist < anyBest.Dist {
@@ -518,11 +600,6 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 	if bestPos < 0 {
 		return Estimate{}, ErrNotReady
 	}
-	// Degenerate geometries can make a wrong position's curve fit
-	// slightly better than the truth; switching the lock on a periodic
-	// re-scan therefore requires a clear margin over the held
-	// position, not a photo finish.
-	const switchMargin = 0.7
 	if rescan && bestPos != tk.posIdx && !math.IsInf(held.Dist, 1) &&
 		best.Dist > switchMargin*held.Dist {
 		// Not convincingly better: keep the current lock and report
@@ -531,6 +608,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 	}
 	tk.posIdx = bestPos
 	tk.posLocked = true
+	tk.prevMatch, tk.hasPrevMatch = best, true
 	if best.Dist > tk.cfg.RelockDist {
 		tk.badCount++
 	} else {
@@ -586,6 +664,7 @@ func (tk *Tracker) Reset() {
 	tk.shortlist = tk.shortlist[:0]
 	tk.badCount = 0
 	tk.hasLast = false
+	tk.hasPrevMatch = false
 	tk.haveT = false
 	tk.haveRawPhi = false
 	tk.unwrapped = 0

@@ -8,16 +8,17 @@
 // optional Sakoe-Chiba band and early abandoning, and exposes a
 // Matcher that reuses its scratch so the tracker's hot loop runs
 // allocation-free. One branch-free row kernel (relaxRow) serves both
-// entry points. It touches only the O(w) band slice of each row plus
-// one guard cell, so a banded Distance costs O(n·w + m) rather than
-// O(n·m). Subsequence, the tracker's search, builds each query×profile
-// local cost once per scan and each candidate length's band once, so
-// its candidates only add table entries in the order Distance would.
-// One unbanded open-start pass over that table bounds every candidate
-// from below, exactly in float arithmetic, and the scan skips each
-// candidate whose bound already reaches the best score. See DESIGN.md
-// §16 for the row-arena invariant and the bit-exactness arguments that
-// gate all of this.
+// entry points and computes each local cost as it relaxes the cell. It
+// touches only the O(w) band slice of each row plus one guard cell, so
+// a banded Distance costs O(n·w + m) rather than O(n·m).
+// Subsequence, the tracker's search, first runs one unbanded
+// open-start pass that bounds every candidate from below, exactly in
+// float arithmetic, and skips each candidate whose bound already
+// reaches the best score. SubsequenceWithin takes an incumbent, an
+// upper bound on the distance the caller needs; the open-start pass
+// then relaxes only the column runs that can still come in under it.
+// See DESIGN.md §16 for the row-arena invariant and the bit-exactness
+// arguments that gate all of this.
 package dtw
 
 import (
@@ -59,24 +60,30 @@ type Options struct {
 }
 
 // localCosts sets dst[k] to the local cost of (a, b[k]) for every k
-// of dst: |a-b|, or the shortest angular distance when circular. Every
-// cost the DP adds comes from here, a row at a time, so the loop stays
-// free of calls. Phases coming out of atan2 live in [-π, π], so their
-// difference never exceeds 2π and the math.Mod reduction — expensive
-// in pure Go — is skipped on the hot path. The guarded slow path is
-// bit-identical: for d ≤ 2π, Mod(d, 2π) returns d unchanged (or 0 at
-// exactly 2π, which the seam fold below also produces).
+// of dst: |a-b|, or the shortest angular distance when circular (see
+// seamFold). The DP kernels compute the same expression inline.
 func localCosts(dst []float64, a float64, b []float64, circular bool) {
 	for k, bk := range b[:len(dst)] {
 		d := math.Abs(a - bk)
 		if circular {
-			if d > 2*math.Pi {
-				d = math.Mod(d, 2*math.Pi)
-			}
-			d = min(d, 2*math.Pi-d) // the seam fold, without a branch
+			d = seamFold(d)
 		}
 		dst[k] = d
 	}
+}
+
+// seamFold turns |a-b| of two angles into the shortest distance around
+// the circle. Phases coming out of atan2 live in [-π, π], so their
+// difference never exceeds 2π and the math.Mod reduction — expensive
+// in pure Go — is skipped on the hot path. The guarded slow path is
+// bit-identical: for d ≤ 2π, Mod(d, 2π) returns d unchanged (or 0 at
+// exactly 2π, which the fold below also produces). Small enough to
+// inline into every kernel.
+func seamFold(d float64) float64 {
+	if d > 2*math.Pi {
+		d = math.Mod(d, 2*math.Pi)
+	}
+	return min(d, 2*math.Pi-d) // the seam fold, without a branch
 }
 
 // effectiveWindow widens a Sakoe-Chiba half-width so the band stays
@@ -125,16 +132,14 @@ func bandRow(i int, slope float64, w, mm int) (lo, hi int) {
 // The two scratch rows double as the banded cost arena: the row
 // kernel initializes only the cells the band visits, carrying a
 // high-water mark across rows so stale cells from earlier calls are
-// never read. Subsequence adds the query×profile cost table, its
-// open-start bound row and one candidate length's band; all are
-// rebuilt by every call.
+// never read. Subsequence adds the open-start bound row with its live
+// runs and one candidate length's band; all are rebuilt by every call.
 type Matcher struct {
-	prev, cur []float64
-	da, db    []float64 // derivative scratch
-	rowCost   []float64 // Distance: local costs of one band row
-	cost      []float64 // Subsequence: query×profile local costs, row-major
-	ends      []float64 // Subsequence: open-start bound per end column
-	lo, hi    []int     // Subsequence: band [lo[i-1], hi[i-1]] of row i
+	prev, cur   []float64
+	da, db      []float64 // derivative scratch
+	ends        []float64 // Subsequence: open-start bound per end column
+	runs, spare []run     // Subsequence: live runs of the bound pass's rows
+	lo, hi      []int     // Subsequence: band [lo[i-1], hi[i-1]] of row i
 
 	// cells counts the DP cells relaxed over the Matcher's life: the
 	// unit of matching work.
@@ -222,13 +227,10 @@ func (m *Matcher) Distance(a, b []float64, opt Options) (float64, error) {
 
 	_, hi1 := bandRow(1, slope, w, mm)
 	prevHi := initRow0(prev, hi1)
-	m.rowCost = grow(m.rowCost, min(mm, 2*w+1))
 	for i := 1; i <= n; i++ {
 		lo, hi := bandRow(i, slope, w, mm)
-		rc := m.rowCost[:hi-lo+1]
-		localCosts(rc, a[i-1], b[lo-1:], circ)
-		rowMin := relaxRow(prev, cur, rc, lo, hi, prevHi)
-		m.cells += len(rc)
+		rowMin := relaxRow(prev, cur, a[i-1], b[lo-1:hi], lo, hi, prevHi, circ)
+		m.cells += hi - lo + 1
 		prevHi = hi
 		if abandon > 0 {
 			la := lastAdd
@@ -257,13 +259,16 @@ func initRow0(prev []float64, hi1 int) int {
 }
 
 // relaxRow is the DP kernel shared by Distance and Subsequence. It
-// fills cur[lo..hi] for one row of the banded grid, where cost[k] is
-// the local cost of column lo+k, and returns the row minimum:
+// fills cur[lo..hi] for one row of the banded grid, where the row's
+// query sample is a and b[k] is the series sample of column lo+k, and
+// returns the row minimum:
 //
-//	cur[j] = cost[j-lo] + min(prev[j], prev[j-1], cur[j-1])
+//	cur[j] = cost(a, b[j-lo]) + min(prev[j], prev[j-1], cur[j-1])
 //
-// The loop has no data-dependent branch: Go's builtin min compiles to
-// a compare-free select. Unreachable cells come out +Inf because every
+// The local cost is computed in the loop, as localCosts computes it;
+// it is off the row's dependency chain, so it costs little. The DP
+// step has no data-dependent branch: Go's builtin min compiles to a
+// compare-free select. Unreachable cells come out +Inf because every
 // local cost is ≥ 0 or +Inf. A NaN predecessor, whichever of the three
 // it is, makes the cell NaN, and a NaN cell makes the row minimum NaN.
 //
@@ -272,20 +277,24 @@ func initRow0(prev []float64, hi1 int) int {
 // cells this row reads that nobody wrote are prev(prevHi, hi], which
 // are inf-filled first, and the guard cell cur[lo-1], which the
 // j == lo step reads as its deletion predecessor.
-func relaxRow(prev, cur, cost []float64, lo, hi, prevHi int) float64 {
+func relaxRow(prev, cur []float64, a float64, b []float64, lo, hi, prevHi int, circular bool) float64 {
 	inf := math.Inf(1)
 	for j := prevHi + 1; j <= hi; j++ {
 		prev[j] = inf
 	}
 	cur[lo-1] = inf
-	cost = cost[:hi-lo+1]
+	b = b[:hi-lo+1]
 	// Windows starting at column lo: p[k] and c[k] are cell lo+k. The
 	// match and deletion predecessors are carried from the previous
 	// step instead of re-read.
 	p, c := prev[lo:hi+1], cur[lo:hi+1]
 	diag, left := prev[lo-1], inf
 	rowMin := inf
-	for k, ck := range cost {
+	for k, bk := range b {
+		ck := math.Abs(a - bk)
+		if circular {
+			ck = seamFold(ck)
+		}
 		up := p[k]
 		v := ck + min(min(up, diag), left)
 		c[k], left, diag = v, v, up

@@ -7,6 +7,7 @@ package dtw
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"vihot/internal/stats"
@@ -217,7 +218,8 @@ func TestRelaxRowMatchesOracle(t *testing.T) {
 			cur[j] = rng.Uniform(-9, 9) // stale arena cells
 		}
 		prevW, curW := append([]float64(nil), prev...), append([]float64(nil), cur...)
-		got := relaxRow(prev, cur, cost, lo, hi, prevHi)
+		// Against a zero query sample, a linear series sample c costs |0−c| = c.
+		got := relaxRow(prev, cur, 0, cost, lo, hi, prevHi, false)
 		want := relaxRowOracle(prevW, curW, cost, lo, hi, prevHi)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d (lo=%d hi=%d prevHi=%d): row min %v, oracle %v", trial, lo, hi, prevHi, got, want)
@@ -239,6 +241,9 @@ func TestRelaxRowMatchesOracle(t *testing.T) {
 // and is not compared; otherwise the segment's distance must be a
 // number at least as large. Without a band, where both sides minimize
 // over the same paths, the bound must equal the best segment exactly.
+// The pass pruned at a finite T must return, at every column where the
+// dense pass is a number, that number when it is at most T and +Inf
+// when it is above.
 func TestOpenStartBoundBelowEveryCandidate(t *testing.T) {
 	compared := 0
 	for seed := int64(0); seed < 12; seed++ {
@@ -258,8 +263,12 @@ func TestOpenStartBoundBelowEveryCandidate(t *testing.T) {
 				for _, window := range []int{0, 2, 8} {
 					opt := Options{Window: window, Circular: circ, Derivative: deriv}
 					m := NewMatcher(0)
-					q, p := m.buildCostTable(query, profile, opt)
-					ends := m.openStartBound(len(q), len(p))
+					q, p := query, profile
+					if deriv {
+						q, p = Derivatives(query, nil), Derivatives(profile, nil)
+					}
+					ends := m.boundPass(q, p, math.Inf(1), circ)
+					checkPrunedPass(t, q, p, ends, circ)
 					shrink := len(query) - len(q) // 1 over first differences
 					best := make([]float64, len(p))
 					for e := range best {
@@ -298,6 +307,36 @@ func TestOpenStartBoundBelowEveryCandidate(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("every bound was NaN: nothing compared")
+	}
+}
+
+// checkPrunedPass reruns the open-start pass at thresholds T spread
+// over the dense pass's finite values and checks each column against
+// it: exact at or below T, +Inf above, either way where dense is NaN.
+func checkPrunedPass(t *testing.T, q, p, dense []float64, circ bool) {
+	t.Helper()
+	var finite []float64
+	for _, v := range dense {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			finite = append(finite, v)
+		}
+	}
+	sort.Float64s(finite)
+	for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
+		if len(finite) == 0 {
+			return
+		}
+		T := finite[int(frac*float64(len(finite)-1))]
+		pruned := NewMatcher(0).boundPass(q, p, T, circ)
+		for e, d := range dense {
+			want := d
+			if d > T {
+				want = math.Inf(1)
+			}
+			if !math.IsNaN(d) && math.Float64bits(pruned[e]) != math.Float64bits(want) {
+				t.Fatalf("T=%v column %d: pruned %v, dense %v", T, e, pruned[e], d)
+			}
+		}
 	}
 }
 

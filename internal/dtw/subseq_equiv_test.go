@@ -1,9 +1,9 @@
 package dtw
 
-// Equivalence suite for the table-driven Subsequence scan: the
-// per-candidate NormalizedDistance loop it replaced is kept below as
-// the oracle, and every test here demands bit-identical matches and
-// identical errors from the two.
+// Equivalence suite for the Subsequence scan: the per-candidate
+// NormalizedDistance loop it replaced is kept below as the oracle, and
+// every test here demands bit-identical matches and identical errors
+// from the two, with and without an incumbent.
 
 import (
 	"math"
@@ -94,6 +94,49 @@ func checkMatch(t *testing.T, m *Matcher, query, profile []float64, lengths []in
 	}
 }
 
+// checkWithinAgainstOracle runs SubsequenceWithin on m under a set of
+// incumbents and fails unless each call returns the oracle's match
+// when its distance is within the incumbent, and ErrNoCandidates
+// otherwise (the oracle's error, if it has one). The incumbents are
+// NaN, ±Inf, a negative value, 0, the oracle's best and its float
+// neighbours, extra, and the distances of a spread of candidates,
+// computed with the same options, so most are real candidates that are
+// not the best.
+func checkWithinAgainstOracle(t *testing.T, m *Matcher, query, profile []float64, lengths []int, stride int, opt Options, extra float64) {
+	t.Helper()
+	want, werr := subsequenceOracle(NewMatcher(0), query, profile, lengths, stride, opt)
+	withins := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, extra}
+	if werr == nil {
+		withins = append(withins, want.Dist, math.Nextafter(want.Dist, 0), math.Nextafter(want.Dist, 2*want.Dist+1))
+	}
+	step := max(1, stride)
+	for i, L := range lengths {
+		if L < 1 || L > len(profile) {
+			continue
+		}
+		for _, start := range []int{0, (len(profile) - L) / 2 / step * step, (len(profile) - L) / step * step} {
+			if d, err := NewMatcher(0).NormalizedDistance(query, profile[start:start+L], opt); err == nil {
+				withins = append(withins, d)
+			}
+		}
+		if i > 3 {
+			break
+		}
+	}
+	for _, within := range withins {
+		exp, eerr := want, werr
+		if werr == nil && want.Dist > within {
+			exp, eerr = Match{}, ErrNoCandidates
+		}
+		got, gerr := m.SubsequenceWithin(query, profile, lengths, stride, opt, within)
+		if gerr != eerr || got.Start != exp.Start || got.Length != exp.Length ||
+			math.Float64bits(got.Dist) != math.Float64bits(exp.Dist) {
+			t.Fatalf("n=%d profile=%d lengths=%v stride=%d opt=%+v within=%v: got %+v (err %v), want %+v (err %v)",
+				len(query), len(profile), lengths, stride, opt, within, got, gerr, exp, eerr)
+		}
+	}
+}
+
 // excerpt returns a time-warped, noisy copy of profile[at:at+span]
 // resampled to n samples, wrapped into [-π, π] — the shape of a
 // run-time query window against its profile.
@@ -135,6 +178,37 @@ func TestSubsequenceMatchesOracle(t *testing.T) {
 						for stride := 1; stride <= 3; stride++ {
 							opt := Options{Window: window, Circular: circ, Derivative: deriv, AbandonAbove: abandon}
 							checkAgainstOracle(t, m, query, profile, lengths, stride, opt)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSubsequenceWithinMatchesOracle is the incumbent's property test
+// on the inputs of TestSubsequenceMatchesOracle, plus ±Inf and NaN
+// samples: every incumbent, from NaN to a candidate's own distance,
+// returns the oracle's match or ErrNoCandidates exactly as it should.
+func TestSubsequenceWithinMatchesOracle(t *testing.T) {
+	m := NewMatcher(0)
+	for seed := int64(0); seed < 30; seed++ {
+		rng := stats.NewRNG(7000 + seed)
+		profile := randWalk(seed+1, 20+int(rng.Uniform(0, 200)))
+		n := 2 + int(rng.Uniform(0, 14))
+		query := excerpt(rng, profile, int(rng.Uniform(0, float64(len(profile)))), n+int(rng.Uniform(0, float64(n))), n, 0.05)
+		if seed%5 == 4 {
+			bad := []float64{math.Inf(1), math.Inf(-1), math.NaN()}[seed%3]
+			profile[int(rng.Uniform(0, float64(len(profile))))] = bad
+		}
+		lengths := CandidateLengths(n, 0.5, 2, 1+int(rng.Uniform(0, 3)), len(profile)+5)
+		for _, window := range []int{0, 8} {
+			for _, circ := range []bool{false, true} {
+				for _, deriv := range []bool{false, true} {
+					for _, abandon := range []float64{0, 0.5} {
+						for stride := 1; stride <= 3; stride += 2 {
+							opt := Options{Window: window, Circular: circ, Derivative: deriv, AbandonAbove: abandon}
+							checkWithinAgainstOracle(t, m, query, profile, lengths, stride, opt, rng.Uniform(0, 0.5))
 						}
 					}
 				}
@@ -259,9 +333,9 @@ func TestSubsequenceMatchesOracleNonFinite(t *testing.T) {
 	}
 }
 
-// TestSubsequenceAllocationFree: once the cost table, band table and
-// arena have grown to a scan's size, repeating the scan allocates
-// nothing — in either mode.
+// TestSubsequenceAllocationFree: once the bound row, its runs, the
+// band table and the arena have grown to a scan's size, repeating the
+// scan allocates nothing — in either mode.
 func TestSubsequenceAllocationFree(t *testing.T) {
 	rng := stats.NewRNG(77)
 	profile := randWalk(12, 750)
@@ -286,15 +360,23 @@ func TestSubsequenceAllocationFree(t *testing.T) {
 	}
 }
 
-// FuzzSubsequenceEquivalence drives the table-driven scan and the
-// oracle with arbitrary series, lengths, strides and options. Inputs
-// include NaN, ±Inf and values far outside [-π, π], where the cost
-// function takes its slow paths. When no local cost is NaN, the scan
-// must also match the oracle run on the old row kernel.
+// FuzzSubsequenceEquivalence drives the scan and the oracle with
+// arbitrary series, lengths, strides and options. Inputs include NaN,
+// ±Inf and values far outside [-π, π], where the cost function takes
+// its slow paths. When no local cost is NaN, the scan must also match
+// the oracle run on the old row kernel. Every input also runs the
+// incumbent arm (checkWithinAgainstOracle), with an arbitrary extra
+// incumbent taken from the input.
 func FuzzSubsequenceEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 200, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130}, uint8(3), uint8(8), uint8(2), uint8(1))
 	f.Add([]byte{255, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(0), uint8(1), uint8(6))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(4), uint8(2), uint8(3), uint8(3))
+	// A pruned pass whose sweep reaches the profile's end through the
+	// start of the last live run: that run must not be swept again.
+	f.Add([]byte("\xff0000X01"), uint8('S'), uint8('('), uint8(1), uint8('_'))
+	// A self-seed candidate whose distance is NaN must not become the
+	// incumbent.
+	f.Add([]byte("1\xfd0"), uint8(0), uint8(0xd1), uint8(1), uint8(9))
 	f.Fuzz(func(t *testing.T, data []byte, qlen, window, stride, flags uint8) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -332,21 +414,30 @@ func FuzzSubsequenceEquivalence(f *testing.F) {
 		if costsNaNFree(query, profile, opt) {
 			checkAgainstOldKernel(t, NewMatcher(0), query, profile, lengths, int(stride%4), opt)
 		}
+		extra := float64(window) / float64(1+int(qlen))
+		checkWithinAgainstOracle(t, NewMatcher(0), query, profile, lengths, int(stride%4), opt, extra)
 	})
 }
 
 // BenchmarkSubsequenceScan is the tracker-shaped hot path: a W=10
 // query (a time-warped, noisy excerpt of the profile) scanned over a
 // 750-sample profile at lengths 5–19 step 2, stride 2, band 8,
-// circular costs — what core.Tracker runs per candidate position. The
-// oracle sub-benchmark is the per-candidate loop it replaced.
+// circular costs — what core.Tracker runs per candidate position.
+// table is the scan with no incumbent; within is the same scan given
+// a stride-shifted neighbour of the best match as its incumbent, as the
+// tracker seeds a held-position scan. The oracle sub-benchmark is the
+// per-candidate loop the scan replaced.
 func BenchmarkSubsequenceScan(b *testing.B) {
 	query, profile, lengths, stride, opt := scanBenchInput()
+	within := neighbourWithin(b, query, profile, lengths, stride, opt, stride)
 	for _, impl := range []struct {
 		name string
 		scan func(*Matcher) (Match, error)
 	}{
 		{"table", func(m *Matcher) (Match, error) { return m.Subsequence(query, profile, lengths, stride, opt) }},
+		{"within", func(m *Matcher) (Match, error) {
+			return m.SubsequenceWithin(query, profile, lengths, stride, opt, within)
+		}},
 		{"oracle", func(m *Matcher) (Match, error) { return subsequenceOracle(m, query, profile, lengths, stride, opt) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
@@ -368,4 +459,64 @@ func scanBenchInput() (query, profile []float64, lengths []int, stride int, opt 
 	query = excerpt(rng, profile, 400, 14, 10, 0.05)
 	lengths = CandidateLengths(len(query), 0.5, 2, 2, len(profile))
 	return query, profile, lengths, 2, Options{Window: 8, Circular: true}
+}
+
+// neighbourWithin returns the distance of the candidate shift samples
+// after the best match of the scan (before it, when shift < 0): the
+// kind of incumbent the tracker hands a held-position scan, whose
+// seeds are the previous match's segment and the one a stride later.
+func neighbourWithin(tb testing.TB, query, profile []float64, lengths []int, stride int, opt Options, shift int) float64 {
+	tb.Helper()
+	best, err := NewMatcher(0).Subsequence(query, profile, lengths, stride, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	start := best.Start + shift
+	d, err := NewMatcher(0).NormalizedDistance(query, profile[start:start+best.Length], opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestSubsequenceWithinCutsCells: on the tracker-shaped benchmark
+// input, a stride-shifted neighbour's distance as the incumbent leaves
+// the match unchanged and cuts the cells relaxed, bound pass and
+// candidates together. The neighbour a stride before the best (1.5×
+// its distance) must cut them to at most 40% of the unseeded scan's;
+// the one a stride after (2.6×) loosens T and the abandon cap with
+// it, and must stay within 50%.
+func TestSubsequenceWithinCutsCells(t *testing.T) {
+	query, profile, lengths, stride, opt := scanBenchInput()
+	plain := NewMatcher(0)
+	want, err := plain.Subsequence(query, profile, lengths, stride, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		shift, pct int
+	}{{-stride, 40}, {stride, 50}} {
+		within := neighbourWithin(t, query, profile, lengths, stride, opt, c.shift)
+		seeded := NewMatcher(0)
+		got, err := seeded.SubsequenceWithin(query, profile, lengths, stride, opt, within)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("shift %d: seeded %+v, unseeded %+v", c.shift, got, want)
+		}
+		t.Logf("shift %d: within %v (best %v): %d cells, unseeded %d", c.shift, within, want.Dist, seeded.cells, plain.cells)
+		if 100*seeded.cells > c.pct*plain.cells {
+			t.Errorf("shift %d: seeded scan relaxes %d cells, more than %d%% of the unseeded %d",
+				c.shift, seeded.cells, c.pct, plain.cells)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := seeded.SubsequenceWithin(query, profile, lengths, stride, opt, within); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("shift %d: SubsequenceWithin allocates %v times per run, want 0", c.shift, allocs)
+		}
+	}
 }

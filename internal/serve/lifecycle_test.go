@@ -274,6 +274,34 @@ func TestRejectedKindTable(t *testing.T) {
 	}
 }
 
+// TestNilFrameRejected: a KindFrame item with a nil Frame is refused at
+// push and counted in RejectedKind, on the single-item and the batch
+// path, by a deterministic and a concurrent manager with an open
+// session. It used to be accepted and to panic the worker that
+// sanitized it.
+func TestNilFrameRejected(t *testing.T) {
+	f := getFixture(t)
+	for _, deterministic := range []bool{true, false} {
+		m := serve.New(serve.Config{Deterministic: deterministic, Shards: 2})
+		if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
+			t.Fatal(err)
+		}
+		nilFrame := serve.Item{Session: "s", Kind: serve.KindFrame, Time: 1}
+		m.Push(nilFrame)
+		m.PushBatch(append(phaseItems("s", 0, 20), nilFrame))
+		m.CloseDrain()
+		snap := m.Counters().Snapshot()
+		if snap.RejectedKind != 2 || snap.FramesIn != 0 || snap.Processed != 20 {
+			t.Fatalf("deterministic=%v: RejectedKind=%d FramesIn=%d Processed=%d, want 2/0/20",
+				deterministic, snap.RejectedKind, snap.FramesIn, snap.Processed)
+		}
+		if snap.Total() != 22 {
+			t.Fatalf("deterministic=%v: Total() = %d, want 22", deterministic, snap.Total())
+		}
+		conservation(t, snap)
+	}
+}
+
 // TestOpenCloseRace races session opens against Close: every Open
 // must either fully register (and be purged by Close, keeping the
 // count consistent) or be refused with ErrClosed — under -race this

@@ -48,7 +48,7 @@ func newCounters(r *obs.Registry) Counters {
 		toStale:         trans("stale"),
 		recoveries:      trans("healthy"),
 		trackerResets:   r.Counter("vihot_serve_tracker_resets_total", "tracker restarts after a CSI blackout"),
-		rejectedKind:    r.Counter("vihot_serve_rejected_kind_total", "items refused at push for an unknown item kind"),
+		rejectedKind:    r.Counter("vihot_serve_rejected_kind_total", "items refused at push: an unknown item kind, or a frame item without a frame"),
 		rejectedClosed:  r.Counter("vihot_serve_rejected_closed_total", "items refused at push because the manager was closed"),
 		droppedClosed:   dropped("shutdown"),
 		reaped:          r.Counter("vihot_serve_sessions_reaped_total", "sessions evicted by the idle-TTL sweep"),

@@ -257,7 +257,7 @@ type CounterSnapshot struct {
 	DroppedClosed  uint64 // queued items abandoned by a hard Close
 	SanitizeErrors uint64 // KindFrame items whose sanitizer rejected the frame
 	RejectedTime   uint64 // items rejected for non-finite, non-monotone, or far-future timestamps
-	RejectedKind   uint64 // items refused at push for an unknown Item.Kind
+	RejectedKind   uint64 // items refused at push: an unknown Item.Kind, or a KindFrame item with a nil Frame
 	RejectedClosed uint64 // items refused at push because the manager was closed
 	SessionsReaped uint64 // sessions evicted by the idle-TTL sweep
 	SessionsClosed uint64 // sessions removed by explicit CloseSession
@@ -728,13 +728,14 @@ func (m *Manager) recycle(f *csi.Frame) {
 // Push ingests one item. In concurrent mode it enqueues (shedding the
 // shard's stalest item when full) and returns immediately; in
 // deterministic mode it processes the item before returning. Items
-// with an unknown Kind are refused and counted in RejectedKind;
-// pushes against a closed manager are refused and counted in
-// RejectedClosed.
+// with an unknown Kind, and KindFrame items with no Frame, are refused
+// and counted in RejectedKind; pushes against a closed manager are
+// refused and counted in RejectedClosed.
 func (m *Manager) Push(it Item) {
-	if it.Kind > KindCamera {
+	if malformed(&it) {
 		// A corrupt kind byte means no case of process() could count
-		// or route the item — refuse it while the accounting can
+		// or route the item, and a frame item without a frame has
+		// nothing to sanitize — refuse it while the accounting can
 		// still see it, so Total() conserves (DESIGN.md §11).
 		m.counters.rejectedKind.Add(1)
 		m.recycle(it.Frame)
@@ -773,14 +774,20 @@ func (m *Manager) Push(it Item) {
 	}
 }
 
-// rejectBadKinds strips items whose Kind no process() case could
-// route, counting each in RejectedKind. The common all-valid batch is
-// returned as-is; a batch with rejects is compacted into a fresh
-// slice so the caller's backing array is never reordered.
+// malformed reports whether process() could not handle the item: its
+// Kind is unknown, or it is a KindFrame item with no Frame to sanitize.
+func malformed(it *Item) bool {
+	return it.Kind > KindCamera || (it.Kind == KindFrame && it.Frame == nil)
+}
+
+// rejectBadKinds strips malformed items, counting each in
+// RejectedKind. The common all-valid batch is returned as-is; a batch
+// with rejects is compacted into a fresh slice so the caller's backing
+// array is never reordered.
 func (m *Manager) rejectBadKinds(items []Item) []Item {
 	bad := 0
 	for i := range items {
-		if items[i].Kind > KindCamera {
+		if malformed(&items[i]) {
 			bad++
 		}
 	}
@@ -789,7 +796,7 @@ func (m *Manager) rejectBadKinds(items []Item) []Item {
 	}
 	kept := make([]Item, 0, len(items)-bad)
 	for i := range items {
-		if items[i].Kind > KindCamera {
+		if malformed(&items[i]) {
 			m.counters.rejectedKind.Add(1)
 			m.recycle(items[i].Frame)
 			continue
@@ -823,7 +830,7 @@ func (m *Manager) enqueueShard(sh *shard, items []Item) {
 // PushBatch ingests a batch with one queue lock per destination shard
 // rather than one per item — the cheap ingest path a receiver loop
 // should batch into. Relative order is preserved per shard (hence per
-// session); the batch is not atomic across shards. Unknown kinds and
+// session); the batch is not atomic across shards. Malformed items and
 // closed-manager refusals are counted exactly as in Push.
 func (m *Manager) PushBatch(items []Item) {
 	if len(items) == 0 {
