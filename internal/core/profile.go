@@ -58,6 +58,8 @@ type PositionProfile struct {
 // instance across many concurrent sessions (and with the cache that
 // loaded it) without copies or locks. Operations that conceptually
 // modify a profile return a new one instead: see Merge and Clone.
+// Trackers also share grids derived from a profile instance once (see
+// matchView); a write would leave them stale.
 // TestProfileImmutableUnderUse deep-freezes a profile and proves the
 // tracker honours the contract.
 type Profile struct {

@@ -136,13 +136,12 @@ type Tracker struct {
 	cfg     Config
 	profile *Profile
 
-	// Per-position recentred phase grids (phase minus the position's
-	// circular mean) so typical values sit far from the ±π seam.
-	centered [][]float64
-	means    []float64
+	// The profile's recentred grids, shared read-only with every
+	// tracker over the same *Profile (see matchView).
+	view *matchView
 
 	window     dsp.Window
-	matcher    *dtw.Matcher
+	matcher    *dtw.Matcher // DTW scratch, made on the first match
 	query      []float64
 	centeredQ  []float64
 	scratchIdx []int
@@ -186,7 +185,11 @@ type Tracker struct {
 const maxConsecutiveHolds = 8
 
 // NewTracker builds a tracker over a profile. The config's match rate
-// must equal the profile's (zero adopts the profile's rate).
+// must equal the profile's (zero adopts the profile's rate). The
+// tracker copies nothing that grows with the profile: it adopts the
+// recentred grids every tracker over the same *Profile shares (built
+// on first use, kept while any such tracker lives), and it makes its
+// DTW scratch on its first match unless SetMatcher supplies some.
 func NewTracker(p *Profile, cfg Config) (*Tracker, error) {
 	if p == nil || len(p.Positions) == 0 {
 		return nil, ErrEmptyProfile
@@ -235,17 +238,8 @@ func NewTracker(p *Profile, cfg Config) (*Tracker, error) {
 	tk := &Tracker{
 		cfg:     cfg,
 		profile: p,
-		matcher: dtw.NewMatcher(256),
+		view:    viewOf(p),
 		stable:  dsp.NewStabilityDetector(cfg.StableWindowS, cfg.StableStd, cfg.StableHoldS),
-	}
-	for _, pos := range p.Positions {
-		mu := pos.MeanPhase()
-		c := make([]float64, len(pos.PhiGrid))
-		for k, phi := range pos.PhiGrid {
-			c[k] = geom.PhaseDiff(phi, mu)
-		}
-		tk.centered = append(tk.centered, c)
-		tk.means = append(tk.means, mu)
 	}
 	wSamples := tk.windowSamples()
 	maxGrid := 0
@@ -267,11 +261,12 @@ func (tk *Tracker) windowSamples() int {
 	return n
 }
 
-// SetMatcher replaces the tracker's DTW scratch buffers with a shared
-// Matcher. A Matcher carries no state between calls, so sharing one
-// across trackers changes no results — it only amortizes scratch
-// memory. The caller must guarantee that every tracker sharing the
-// matcher is driven by the same goroutine (see the ownership rules on
+// SetMatcher gives the tracker a shared Matcher as its DTW scratch, in
+// place of the private one it would otherwise make on its first match.
+// A Matcher carries no state between calls, so sharing one across
+// trackers changes no results — it only amortizes scratch memory. The
+// caller must guarantee that every tracker sharing the matcher is
+// driven by the same goroutine (see the ownership rules on
 // dtw.Matcher); internal/serve uses one matcher per shard worker.
 func (tk *Tracker) SetMatcher(m *dtw.Matcher) {
 	if m != nil {
@@ -427,12 +422,12 @@ type posMatch struct {
 // The held position's scan is also seeded (see seed). ok is false when
 // the scan finds no match within the incumbent.
 func (tk *Tracker) matchPosition(pos int, within float64, opt dtw.Options) (match dtw.Match, ok bool) {
-	mu := tk.means[pos]
+	mu := tk.view.means[pos]
 	tk.centeredQ = tk.centeredQ[:0]
 	for _, v := range tk.query {
 		tk.centeredQ = append(tk.centeredQ, geom.PhaseDiff(v, mu))
 	}
-	profile := tk.centered[pos]
+	profile := tk.view.centered[pos]
 	if pos == tk.posIdx {
 		within = tk.seed(profile, within, opt)
 	}
@@ -517,6 +512,9 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 		candidates = append(candidates, tk.posIdx)
 	}
 	tk.scratchIdx = candidates
+	if tk.matcher == nil {
+		tk.matcher = dtw.NewMatcher(256)
+	}
 
 	// Scan each candidate position. The held position's scan is seeded
 	// from the previous match. A rescan scans the held position first:

@@ -10,10 +10,13 @@
 // That is safe because profiles are immutable once published (see the
 // core.Profile contract): N sessions opened for one driver all track
 // against one instance, and the cache costs one profile of memory per
-// distinct driver, not per session. Eviction only drops the store's
-// reference — sessions already holding the profile keep it alive (the
-// GC, not the cache, owns lifetime), so evicting a hot driver can
-// never invalidate an open session.
+// distinct driver, not per session. The trackers over one instance
+// also share its recentred match grids, which core keeps only while a
+// tracker is open, so an idle cached profile costs the profile alone.
+// Eviction only drops the store's reference — sessions already holding
+// the profile keep it alive (the GC, not the cache, owns lifetime), so
+// evicting a hot driver can never invalidate an open session; but a
+// reload while they run is a second instance, with grids of its own.
 //
 // # Eviction
 //

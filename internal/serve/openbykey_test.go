@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,5 +263,178 @@ func TestOpenByKeyLoaderFailure(t *testing.T) {
 	}
 	if _, ok := mgr.Profile("s"); ok {
 		t.Error("failed open registered a profile")
+	}
+}
+
+// TestSharedProfileConcurrentOpens races session opens over shared
+// profile instances against pushes, closes and collections, so that
+// the trackers' shared match view is built, adopted, dropped and
+// rebuilt concurrently. Long-lived sessions (half Open, half
+// OpenByKey, all over one instance) must emit exactly a
+// deterministic replay's estimates; short churned sessions over a
+// second instance, whose view dies between them, must emit a prefix
+// of theirs. The books must balance after CloseDrain.
+func TestSharedProfileConcurrentOpens(t *testing.T) {
+	fix := getFixture(t)
+	shared, churned := fix.profile.Clone(), fix.profile.Clone()
+	store := profilestore.New(profilestore.Config{
+		Loader: profilestore.LoaderFunc(func(key string) (*core.Profile, error) {
+			if key == "churned" {
+				return churned, nil
+			}
+			return shared, nil
+		}),
+	})
+	col := newCollector()
+	mgr := serve.New(serve.Config{Shards: 4, QueueLen: 1 << 15, Profiles: store, OnEstimate: col.sink})
+	cfg := core.DefaultPipelineConfig()
+
+	const (
+		long, churners, rounds = 8, 4, 6
+		longItems, churnItems  = 1500, 300
+	)
+	streams := []string{"driver-a", "driver-b", "driver-c"}
+	stream := func(i, n int) []serve.Item {
+		items := fix.streams[streams[i%len(streams)]]
+		return items[:min(n, len(items))]
+	}
+	open := func(id, key string, byKey bool) error {
+		if byKey {
+			return mgr.OpenByKey(id, key, cfg)
+		}
+		p := shared
+		if key == "churned" {
+			p = churned
+		}
+		return mgr.Open(id, p, cfg)
+	}
+	push := func(id string, items []serve.Item) {
+		for _, it := range items {
+			it.Session = id
+			mgr.Push(it)
+		}
+	}
+
+	var (
+		wg     sync.WaitGroup
+		gate   = make(chan struct{})
+		pushed atomic.Uint64
+		errs   = make(chan error, long+churners*rounds)
+		stop   = make(chan struct{})
+		gcDone = make(chan struct{})
+	)
+	for i := 0; i < long; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			id := "long-" + sessID(i)
+			if err := open(id, "shared", i%2 == 1); err != nil {
+				errs <- err
+				return
+			}
+			items := stream(i, longItems)
+			push(id, items)
+			pushed.Add(uint64(len(items)))
+		}(i)
+	}
+	for c := 0; c < churners; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-gate
+			for r := 0; r < rounds; r++ {
+				id := "churn-" + sessID(c*rounds+r)
+				if err := open(id, "churned", (c+r)%2 == 1); err != nil {
+					errs <- err
+					return
+				}
+				items := stream(c+r, churnItems)
+				push(id, items)
+				pushed.Add(uint64(len(items)))
+				if err := mgr.CloseSession(id); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	// Collections drop the churned instance's view whenever no churn
+	// session is open, so later opens rebuild it.
+	go func() {
+		defer close(gcDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	close(gate)
+	wg.Wait()
+	close(stop)
+	<-gcDone
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	mgr.CloseDrain()
+
+	snap := mgr.Counters().Snapshot()
+	conservation(t, snap)
+	if snap.Total() != pushed.Load() {
+		t.Fatalf("Total() = %d, want %d pushed", snap.Total(), pushed.Load())
+	}
+	if snap.DroppedStale != 0 || snap.DroppedClosed != 0 {
+		t.Fatalf("run shed items: %+v", snap)
+	}
+
+	// The replay: each session alone through a deterministic manager
+	// over a fresh instance, so its view is rebuilt from scratch.
+	replay := func(items []serve.Item) []core.Estimate {
+		rc := newCollector()
+		rm := serve.New(serve.Config{Deterministic: true, OnEstimate: rc.sink})
+		defer rm.Close()
+		if err := rm.Open("r", fix.profile.Clone(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			it.Session = "r"
+			rm.Push(it)
+		}
+		return rc.got["r"]
+	}
+	want := map[string][]core.Estimate{}
+	got := map[string][]core.Estimate{}
+	matched := 0
+	for i := 0; i < long; i++ {
+		id := "long-" + sessID(i)
+		want[id], got[id] = replay(stream(i, longItems)), col.got[id]
+		for _, e := range want[id] {
+			if e.Source == core.SourceCSI {
+				matched++
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no CSI-matched estimates: the run never read the shared view")
+	}
+	assertSameEstimates(t, "shared-view", want, got)
+	for c := 0; c < churners; c++ {
+		for r := 0; r < rounds; r++ {
+			id := "churn-" + sessID(c*rounds+r)
+			w, g := replay(stream(c+r, churnItems)), col.got[id]
+			if len(g) > len(w) {
+				t.Fatalf("%s: %d estimates, replay has %d", id, len(g), len(w))
+			}
+			for k := range g {
+				if g[k] != w[k] {
+					t.Fatalf("%s: estimate %d = %+v, want %+v", id, k, g[k], w[k])
+				}
+			}
+		}
 	}
 }

@@ -35,9 +35,12 @@
 // OpenByKey resolves one through the Config.Profiles store instead.
 // Either way the profile is shared by reference across every session
 // opened over it — profiles are immutable (core.Profile's contract),
-// so sharing needs no locks and costs one profile of memory per
-// driver, not per session. Evicting a profile from the store never
-// affects sessions already holding it.
+// so sharing needs no locks. The recentred grids the trackers scan
+// are shared the same way: core builds them once per profile instance
+// and keeps them while any session over it is open. A driver therefore
+// costs one profile and one such view of memory, not one per session.
+// Evicting a profile from the store never affects sessions already
+// holding it.
 //
 // # Deterministic mode
 //
@@ -615,8 +618,10 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 // configured store resolves for key (driver/cabin ID). Cold keys cost
 // one loader read no matter how many sessions race to open them, hot
 // keys are a lock-and-probe, and every session for one key references
-// the same immutable profile instance — a fleet caching one profile
-// per driver, not per session. Requires Config.Profiles.
+// the same immutable profile instance and the match view core builds
+// for it — a fleet holding one profile per driver, not per session.
+// A key evicted and reloaded while sessions are open yields a second
+// instance with a view of its own. Requires Config.Profiles.
 func (m *Manager) OpenByKey(id, key string, cfg core.PipelineConfig) error {
 	if id == "" {
 		return ErrNoSessionID
