@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify build test race vet fmt lint-walltime bench-check cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-hotpath
+.PHONY: verify build test race vet fmt lint-walltime bench-check cover fuzz-smoke bench-profilestore
 
 # verify is the tier-1 gate: vet + gofmt + the walltime lint + build +
 # full test suite + the race runs that give the concurrency and
@@ -69,10 +69,14 @@ cover:
 	$(GO) tool cover -func=COVER.out | tail -1
 
 # Short open-ended fuzz pass over the adversarial-input surfaces, plus
-# the pruned DTW subsequence scan (with and without an incumbent) and
-# the CSI phasor cache against their from-scratch oracles.
+# the sanitizer's componentwise loop against its scalar reference, the
+# pruned DTW subsequence scan (with and without an incumbent) and the
+# CSI phasor cache against their from-scratch oracles. -fuzz must
+# match exactly one target per run, so the two sanitizer patterns are
+# anchored: unanchored, FuzzSanitize would match both.
 fuzz-smoke:
 	$(GO) test -fuzz=^FuzzSanitize$$ -fuzztime=10s ./internal/csi
+	$(GO) test -fuzz=^FuzzSanitizeEquivalence$$ -fuzztime=10s ./internal/csi
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wifi
 	$(GO) test -fuzz=FuzzScenarioConfig -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal
@@ -80,26 +84,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSubsequenceEquivalence -fuzztime=10s ./internal/dtw
 	$(GO) test -fuzz=FuzzPhasorCache -fuzztime=10s ./internal/rf
 
-# Observability overhead benchmark: serving throughput with obs off vs
-# metrics vs metrics+trace (DESIGN.md §9's overhead budget, measured).
-bench-obs:
-	$(GO) run ./cmd/vihot-bench -obsjson BENCH_obs.json
-
 # Profile-store benchmark: cold disk load, zero-allocation hot hit,
 # a 64-goroutine contention run (DESIGN.md §10), and three churn
 # traces replayed against one LRU store (DESIGN.md §15).
 bench-profilestore:
 	$(GO) run ./cmd/vihot-bench -profilejson BENCH_profilestore.json
-
-# Durable-journal overhead benchmark: serving throughput with
-# journaling off vs the default group commit vs fsync-per-record,
-# with the logical-records vs syscalls split (DESIGN.md §13's ≤20%
-# budget at the default batch, measured).
-bench-journal:
-	$(GO) run ./cmd/vihot-bench -journaljson BENCH_journal.json
-
-# Serving hot-path benchmark: the session-manager scaling matrix
-# (shards × sessions through PushBatch) plus the pooled-ingest
-# allocation comparison (DESIGN.md §16).
-bench-hotpath:
-	$(GO) run ./cmd/vihot-bench -servejson BENCH_serve.json

@@ -123,15 +123,5 @@ func (c *Tracker) Sample(t float64, truthYaw, truthRate float64) (Estimate, bool
 // Latency returns the processing latency.
 func (c *Tracker) Latency() float64 { return c.LatencyS }
 
-// ForceLoss drops the tracker's face lock until the given time — an
-// externally injected outage (occlusion, glare, a hand in front of the
-// lens) as opposed to the speed-induced loss the model generates by
-// itself. Frames sampled before `until` report Valid=false.
-func (c *Tracker) ForceLoss(until float64) {
-	if until > c.lostUntil {
-		c.lostUntil = until
-	}
-}
-
 // Reset clears frame scheduling and loss state.
 func (c *Tracker) Reset() { c.nextFrame, c.lostUntil = 0, 0 }

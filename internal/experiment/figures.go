@@ -908,16 +908,3 @@ func Generators() []Generator {
 		{"profiling", ProfilingOverhead},
 	}
 }
-
-// AllFigures runs every reproduced figure in paper order.
-func AllFigures(opt Options) ([]*FigureResult, error) {
-	var out []*FigureResult
-	for _, g := range Generators() {
-		r, err := g.Run(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"vihot/internal/cabin"
 	"vihot/internal/driver"
@@ -395,18 +394,3 @@ func (c *Config) wireFaults() bool {
 
 // hasFaults reports whether any fault is scheduled at all.
 func (c *Config) hasFaults() bool { return len(c.Faults) > 0 }
-
-// KindNames returns the sorted trajectory kinds in the mix — handy
-// for reports.
-func (c *Config) KindNames() []string {
-	seen := map[string]bool{}
-	for _, tw := range c.Trajectories {
-		seen[tw.Kind] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -221,6 +221,55 @@ func TestHealthForecastCoasting(t *testing.T) {
 	}
 }
 
+// TestStaleWhileSensorLeadsCSI pins the one way a session turns STALE
+// while CSI still flows. The CSI gap is measured from the session
+// clock, which is the latest timestamp of any sensor, so one IMU
+// reading 2 s ahead of the CSI stream makes every following CSI
+// sample look 2 s late. The pipeline keeps producing estimates; serve
+// must count them in SuppressedStale and deliver none until the CSI
+// catches up to within the stale threshold, after which the session
+// only coasts.
+func TestStaleWhileSensorLeadsCSI(t *testing.T) {
+	f := getFixture(t)
+	log := newHealthLog()
+	m := serve.New(serve.Config{
+		Deterministic: true,
+		OnEvent:       log.onEvent,
+		OnEstimate:    log.onEst,
+	})
+	log.m = m
+	defer m.Close()
+	if err := m.Open("s", f.profile, core.DefaultPipelineConfig()); err != nil {
+		t.Fatal(err)
+	}
+	phases := func(lo, hi int) { // 500 Hz samples i*2 ms for i in [lo, hi)
+		for i := lo; i < hi; i++ {
+			ts := float64(i) * 0.002
+			m.Push(serve.Item{Session: "s", Kind: serve.KindPhase,
+				Time: ts, Phi: 0.3 * math.Sin(2*math.Pi*0.4*ts)})
+		}
+	}
+	phases(0, 1000)
+	m.Push(serve.Item{Session: "s", Kind: serve.KindIMU, IMU: imu.Reading{Time: 4.0}})
+	phases(1000, 1500)
+
+	snap := m.Counters().Snapshot()
+	if snap.SuppressedStale == 0 {
+		t.Fatalf("SuppressedStale = 0 with CSI 2 s behind the session clock: %+v", snap)
+	}
+	if snap.ToStale != 1 {
+		t.Fatalf("ToStale = %d, want 1", snap.ToStale)
+	}
+	for _, e := range log.ests["s"] {
+		if e.h == serve.Stale {
+			t.Fatalf("estimate delivered while STALE: %+v", e)
+		}
+	}
+	if h, _ := m.Health("s"); h != serve.Coasting {
+		t.Fatalf("final Health = %s, want coasting (CSI still 1 s behind the IMU)", h)
+	}
+}
+
 // TestServeTimestampGuards covers the serve-level admission rules: the
 // monotone-CSI mirror, non-finite rejection, and the forward-jump
 // guard that keeps a corrupted far-future timestamp from wedging the

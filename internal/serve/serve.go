@@ -1099,10 +1099,11 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 		return
 	}
 	if s.h == Stale {
-		// Defensive: a stale session must stay silent. Unreachable with
-		// the standard transitions (an accepted CSI sample lifts the
-		// session out of STALE before the pipeline runs) but cheap to
-		// guarantee against future machine variants.
+		// A stale session stays silent, even while CSI flows. The CSI
+		// gap is measured from the session clock, the latest timestamp
+		// of any sensor, so an IMU or camera item that leads the CSI
+		// stream by more than staleAfterS holds the session STALE until
+		// the CSI catches up (TestStaleWhileSensorLeadsCSI).
 		m.counters.suppressedStale.Add(1)
 		return
 	}
