@@ -48,7 +48,8 @@ test:
 # The serving engine's stress/soak tests, the fault injector (now
 # including the crash-recovery soak), the metrics registry (scraped
 # concurrently with the hot path), the profile store's cold-key
-# storms and invalidate-vs-inflight-load races, the
+# storms, invalidate-vs-inflight-load races and re-adoption of live
+# instances racing eviction, Invalidate and GC, the
 # scenario generator's concurrent replay, and the write-behind
 # journal's concurrent appenders only mean something under the race
 # detector.

@@ -107,6 +107,39 @@ func (p *Profile) Fingerprint() uint64 {
 	return h
 }
 
+// BitEqual reports whether q holds exactly p's content: the same match
+// rate and, position by position, the same index, front-facing
+// fingerprint and grids, every float compared by its bits. It is the
+// exact check behind equal Fingerprints, so +0 and -0 differ and a NaN
+// equals a NaN with the same payload.
+func (p *Profile) BitEqual(q *Profile) bool {
+	if math.Float64bits(p.MatchRateHz) != math.Float64bits(q.MatchRateHz) ||
+		len(p.Positions) != len(q.Positions) {
+		return false
+	}
+	for i := range p.Positions {
+		a, b := &p.Positions[i], &q.Positions[i]
+		if a.Position != b.Position ||
+			math.Float64bits(a.Fingerprint) != math.Float64bits(b.Fingerprint) ||
+			!bitEqual(a.PhiGrid, b.PhiGrid) || !bitEqual(a.ThetaGrid, b.ThetaGrid) {
+			return false
+		}
+	}
+	return true
+}
+
+func bitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of p sharing no memory with it. Use it
 // when code needs a mutable scratch profile derived from a shared
 // (immutable) one.

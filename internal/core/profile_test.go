@@ -291,6 +291,43 @@ func TestFingerprintSemantics(t *testing.T) {
 	}
 }
 
+// TestBitEqual: the exact-content check holds for a clone and fails
+// for a one-ulp change in any float field, any other field change, a
+// length change, and +0 against -0. A NaN compares by its bits.
+func TestBitEqual(t *testing.T) {
+	p := synthProfile(t, 3)
+	if !p.BitEqual(p.Clone()) || !p.Clone().BitEqual(p) {
+		t.Fatal("a clone is not bit-equal")
+	}
+	ulp := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	for name, mutate := range map[string]func(*Profile){
+		"match rate":       func(q *Profile) { q.MatchRateHz = ulp(q.MatchRateHz) },
+		"position id":      func(q *Profile) { q.Positions[0].Position++ },
+		"fingerprint":      func(q *Profile) { q.Positions[1].Fingerprint = ulp(q.Positions[1].Fingerprint) },
+		"phase":            func(q *Profile) { q.Positions[2].PhiGrid[7] = ulp(q.Positions[2].PhiGrid[7]) },
+		"orientation":      func(q *Profile) { q.Positions[2].ThetaGrid[7] = ulp(q.Positions[2].ThetaGrid[7]) },
+		"shorter phase":    func(q *Profile) { q.Positions[1].PhiGrid = q.Positions[1].PhiGrid[1:] },
+		"longer theta":     func(q *Profile) { q.Positions[1].ThetaGrid = append(q.Positions[1].ThetaGrid, 0) },
+		"fewer positions":  func(q *Profile) { q.Positions = q.Positions[:2] },
+		"more positions":   func(q *Profile) { q.Positions = append(q.Positions, q.Positions[0]) },
+		"negative zero":    func(q *Profile) { q.Positions[0].PhiGrid[0] = math.Copysign(0, -1) },
+		"zero fingerprint": func(q *Profile) { q.Positions[0].Fingerprint = math.Copysign(0, -1) },
+	} {
+		base := p.Clone()
+		base.Positions[0].PhiGrid[0], base.Positions[0].Fingerprint = 0, 0
+		q := base.Clone()
+		mutate(q)
+		if q.BitEqual(base) || base.BitEqual(q) {
+			t.Errorf("BitEqual blind to %s change", name)
+		}
+	}
+	nan := p.Clone()
+	nan.Positions[1].PhiGrid[3] = math.NaN()
+	if c := nan.Clone(); !nan.BitEqual(c) || !c.BitEqual(nan) {
+		t.Error("a NaN grid is not bit-equal to its own clone")
+	}
+}
+
 func TestGridSamples(t *testing.T) {
 	p := synthProfile(t, 2)
 	want := len(p.Positions[0].PhiGrid) + len(p.Positions[1].PhiGrid)

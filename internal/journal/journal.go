@@ -29,8 +29,8 @@
 // interval is measured on stream time — the journal reads no wall
 // clocks unless metrics are enabled — so a given record sequence
 // produces byte-identical files run after run. The flip side: an
-// idle stream holds its tail batch until the next record, Flush, or
-// Close delivers it.
+// idle stream holds its tail batch until the next record, Flush,
+// Commit or Close delivers it.
 //
 // # Fsync policy
 //
@@ -196,9 +196,11 @@ func newWriterMetrics(r *obs.Registry, wall bool) writerMetrics {
 	return m
 }
 
-// ctlReq is a Flush or Close request into the writer goroutine.
+// ctlReq is a Flush, Commit or Close request into the writer
+// goroutine. keep leaves a commit failure sticky for the next request.
 type ctlReq struct {
 	close bool
+	keep  bool
 	ack   chan error
 }
 
@@ -297,13 +299,22 @@ func (w *Writer) Append(rec Record) bool {
 // Flush blocks until every record appended before the call has been
 // encoded, written, and (per policy) synced. Returns the commit
 // error, if any; ErrClosed after Close.
-func (w *Writer) Flush() error {
+func (w *Writer) Flush() error { return w.control(ctlReq{}) }
+
+// Commit is Flush for a caller that shares the writer without owning
+// it, such as a serve.Manager: it blocks until every record appended
+// before the call has been written and (per policy) synced, but leaves
+// any commit failure for the owner's next Flush or Close to return.
+// No-op after Close.
+func (w *Writer) Commit() { w.control(ctlReq{keep: true}) }
+
+func (w *Writer) control(req ctlReq) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if w.closed {
 		return ErrClosed
 	}
-	req := ctlReq{ack: make(chan error)}
+	req.ack = make(chan error)
 	w.ctl <- req
 	return <-req.ack
 }
@@ -469,6 +480,9 @@ func (w *Writer) run() {
 				err = e
 			}
 			w.m.depth.Set(0)
+			if req.keep {
+				sticky, err = err, nil
+			}
 			if !req.close {
 				req.ack <- err
 				continue

@@ -315,6 +315,28 @@ func TestWriterWriteFailureCountedAndReported(t *testing.T) {
 	}
 }
 
+// TestCommitLeavesErrorToOwner: Commit writes the tail like Flush but
+// leaves a commit failure for the owner's next Flush or Close, so a
+// sharer's commit cannot hide lost data from the owner.
+func TestCommitLeavesErrorToOwner(t *testing.T) {
+	sb := syncBuffer{failAt: 1}
+	w, err := New(Config{W: &sb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(estRec("s", 0, 1))
+	w.Commit() // the first write fails
+	w.Append(estRec("s", 0.01, 2))
+	w.Commit()
+	if _, writes, _ := sb.snapshot(); writes != 2 {
+		t.Fatalf("%d writes, want one per Commit", writes)
+	}
+	if err := w.Close(); err == nil {
+		t.Error("Close after Commit lost the write failure")
+	}
+	w.Commit() // no-op after Close
+}
+
 func TestWriterInvalidRecordCounted(t *testing.T) {
 	var sb syncBuffer
 	w, _ := New(Config{W: &sb})

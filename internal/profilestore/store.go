@@ -15,8 +15,20 @@
 // tracker is open, so an idle cached profile costs the profile alone.
 // Eviction only drops the store's reference — sessions already holding
 // the profile keep it alive (the GC, not the cache, owns lifetime), so
-// evicting a hot driver can never invalidate an open session; but a
-// reload while they run is a second instance, with grids of its own.
+// evicting a hot driver can never invalidate an open session.
+//
+// # Re-adoption
+//
+// A reload must not split a driver's sessions across two instances.
+// Each shard keeps a weak table from key to the newest instance
+// published under it, with its fingerprint. When a load's result is
+// bit-equal to that instance (core.Profile.BitEqual) and the instance
+// is still live, the store returns and caches it, and the fresh copy
+// becomes garbage: however often a key is evicted, the sessions over
+// one driver share one profile and one match view. The loader still
+// runs on every miss, so a rewritten profile file is picked up. A
+// cleanup on each instance deletes its entry once the GC collects it,
+// so the table pins nothing; Invalidate forgets the entry at once.
 //
 // # Eviction
 //
@@ -54,8 +66,10 @@ package profilestore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
+	"weak"
 
 	"vihot/internal/core"
 	"vihot/internal/obs"
@@ -181,13 +195,65 @@ type flight struct {
 }
 
 // shard is an independent slice of the keyspace: a map for O(1)
-// probes, the recency list, and the in-flight load table.
+// probes, the recency list, the in-flight load table, and the table of
+// live instances.
 type shard struct {
 	mu       sync.Mutex
 	items    map[string]*entry
 	lru      list
 	capacity int
 	inflight map[string]*flight
+	live     map[string]liveRef
+}
+
+// liveRef is a weak reference to the newest instance published under
+// a key, with its fingerprint. It outlives the cache entry as long as
+// some session holds the instance, and pins nothing.
+type liveRef struct {
+	p  weak.Pointer[core.Profile]
+	fp uint64
+}
+
+// liveKey names one live-table entry, the argument of its cleanup.
+type liveKey struct {
+	key string
+	p   weak.Pointer[core.Profile]
+}
+
+// adoptLocked returns the live instance registered under key if it
+// holds exactly p's content, so a reload of an evicted key hands out
+// the instance its sessions already share. Otherwise it registers p
+// and returns it. Caller holds sh.mu.
+func (sh *shard) adoptLocked(key string, p *core.Profile, fp uint64) *core.Profile {
+	if r, ok := sh.live[key]; ok && r.fp == fp {
+		if q := r.p.Value(); q != nil && q.BitEqual(p) {
+			return q
+		}
+	}
+	sh.registerLocked(key, p, fp)
+	return p
+}
+
+// registerLocked makes p the live instance under key. A cleanup on p
+// deletes the entry once p is collected, unless a newer instance
+// replaced it. Caller holds sh.mu.
+func (sh *shard) registerLocked(key string, p *core.Profile, fp uint64) {
+	w := weak.Make(p)
+	if sh.live[key].p == w {
+		return
+	}
+	sh.live[key] = liveRef{w, fp}
+	runtime.AddCleanup(p, sh.forget, liveKey{key, w})
+}
+
+// forget removes a dead instance's entry unless a newer one replaced
+// it.
+func (sh *shard) forget(k liveKey) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.live[k.key].p == k.p {
+		delete(sh.live, k.key)
+	}
 }
 
 // Store is the concurrency-safe profile resolver. Build with New.
@@ -250,6 +316,7 @@ func New(cfg Config) *Store {
 			items:    make(map[string]*entry),
 			capacity: capacity,
 			inflight: make(map[string]*flight),
+			live:     make(map[string]liveRef),
 		})
 	}
 	return s
@@ -364,7 +431,9 @@ func (s *Store) runLoad(key string, f *flight) {
 	delete(sh.inflight, key)
 	if !f.invalidated {
 		// An Invalidate that raced this load wins: waiters get the
-		// instance, but it is never cached — the next Get loads fresh.
+		// instance, but it is neither adopted, registered nor cached —
+		// the next Get loads fresh.
+		f.p = sh.adoptLocked(key, p, f.fp)
 		s.insertLocked(sh, key, f.p, f.fp)
 	}
 	sh.mu.Unlock()
@@ -375,7 +444,8 @@ func (s *Store) runLoad(key string, f *flight) {
 // warming a cache at startup or registering a freshly built profile.
 // The store takes the instance as-is (no copy); the caller must treat
 // it as immutable from this point on. An existing entry for key is
-// replaced (sessions holding the old instance keep it).
+// replaced (sessions holding the old instance keep it), and p becomes
+// the instance later reloads of key may re-adopt.
 func (s *Store) Put(key string, p *core.Profile) error {
 	if key == "" {
 		return ErrEmptyKey
@@ -386,6 +456,7 @@ func (s *Store) Put(key string, p *core.Profile) error {
 	fp := p.Fingerprint()
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	sh.registerLocked(key, p, fp)
 	s.insertLocked(sh, key, p, fp)
 	sh.mu.Unlock()
 	return nil
@@ -419,7 +490,8 @@ func (s *Store) insertLocked(sh *shard, key string, p *core.Profile, fp uint64) 
 // Invalidate drops key from the cache (a re-profiled driver, say) and
 // reports whether a cached entry was present. Sessions already
 // tracking against the dropped instance are unaffected; the next Get
-// loads fresh. A load in flight for key is marked: its waiters still
+// loads a fresh instance, never re-adopting theirs. A load in flight
+// for key is marked: its waiters still
 // receive the instance they asked for, but the result is not cached,
 // so the invalidation can never be undone by a racing load.
 func (s *Store) Invalidate(key string) bool {
@@ -429,6 +501,7 @@ func (s *Store) Invalidate(key string) bool {
 	if f, ok := sh.inflight[key]; ok {
 		f.invalidated = true
 	}
+	delete(sh.live, key)
 	e, ok := sh.items[key]
 	if !ok {
 		return false

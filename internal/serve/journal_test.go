@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -236,5 +237,76 @@ func TestJournalConcurrentHardClose(t *testing.T) {
 	}
 	if got := uint64(res.Counts[journal.KindEstimate]); got != sunk.Load() {
 		t.Fatalf("journal holds %d estimates, the sink saw %d", got, sunk.Load())
+	}
+}
+
+// TestFlushCommitsJournalTail: Manager.Flush leaves nothing in the
+// journal writer's memory. A run shorter than one default batch (64
+// records, 0.25 s of stream time) is fully decodable from W once
+// Flush returns, with workers and in deterministic mode, and closing
+// the journal after CloseDrain still appends a clean trailer.
+func TestFlushCommitsJournalTail(t *testing.T) {
+	prof := testProfile(t)
+	item := func(i int) Item {
+		ts := float64(i) * 0.002
+		return Item{Session: "s", Kind: KindPhase, Time: ts, Phi: math.Sin(ts * 6)}
+	}
+	// The prefix of the stream that yields ten estimates.
+	var n, est int
+	probe := New(Config{Deterministic: true, OnEstimate: func(string, core.Estimate) { est++ }})
+	if err := probe.Open("s", prof, core.DefaultPipelineConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for ; est < 10; n++ {
+		probe.Push(item(n))
+	}
+	probe.Close()
+
+	for _, det := range []bool{true, false} {
+		t.Run(fmt.Sprintf("deterministic=%v", det), func(t *testing.T) {
+			var buf bytes.Buffer
+			jw, err := journal.New(journal.Config{W: &buf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(Config{Deterministic: det, Journal: jw})
+			if err := m.Open("s", prof, core.DefaultPipelineConfig()); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				m.Push(item(i))
+			}
+			m.Flush()
+			snap := m.Counters().Snapshot()
+			if snap.Estimates != 10 || snap.JournalAppended == 0 || snap.JournalAppended >= 64 {
+				t.Fatalf("%d estimates, %d records appended: want 10 estimates in a partial batch",
+					snap.Estimates, snap.JournalAppended)
+			}
+			r := journal.NewReader(bytes.NewReader(buf.Bytes()))
+			var got uint64
+			for {
+				if _, err := r.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("record %d: %v", got, err)
+				}
+				got++
+			}
+			if got != snap.JournalAppended {
+				t.Fatalf("W holds %d records after Flush, %d were appended", got, snap.JournalAppended)
+			}
+
+			m.CloseDrain()
+			if err := jw.Close(); err != nil {
+				t.Fatalf("closing the journal after CloseDrain: %v", err)
+			}
+			res, err := journal.Recover(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CleanShutdown || res.Records != int(got)+1 {
+				t.Errorf("after Close: clean %v, %d records, want %d", res.CleanShutdown, res.Records, got+1)
+			}
+		})
 	}
 }

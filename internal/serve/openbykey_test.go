@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -118,6 +119,81 @@ func TestOpenByKeyColdStormSharesProfile(t *testing.T) {
 		v, ok := estimates.Load(sessID(i))
 		if !ok || v.(*atomic.Int64).Load() == 0 {
 			t.Errorf("session %d produced no estimates over the shared profile", i)
+		}
+	}
+}
+
+// TestOpenByKeyReloadSharesMatchView: two OpenByKey calls for one
+// key, with the key evicted in between, track one profile instance
+// and so one match view — the second open builds no grids — and emit
+// bit-identical estimates over one stream.
+func TestOpenByKeyReloadSharesMatchView(t *testing.T) {
+	fix := getFixture(t)
+	// Every load hands out a fresh copy, built before any open is
+	// measured.
+	copies := make(chan *core.Profile, 3)
+	for range cap(copies) {
+		copies <- fix.profile.Clone()
+	}
+	var loads atomic.Int64
+	store := profilestore.New(profilestore.Config{Shards: 1, Capacity: 1,
+		Loader: profilestore.LoaderFunc(func(string) (*core.Profile, error) {
+			loads.Add(1)
+			return <-copies, nil
+		}),
+	})
+	col := newCollector()
+	mgr := serve.New(serve.Config{Deterministic: true, Profiles: store, OnEstimate: col.sink})
+	defer mgr.Close()
+	cfg := core.DefaultPipelineConfig()
+
+	if err := mgr.OpenByKey("s1", "car", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Get("other"); err != nil { // capacity 1: evicts "car"
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := mgr.OpenByKey("s2", "car", cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := loads.Load(); n != 3 {
+		t.Fatalf("loader calls = %d, want 3: the reload must still load", n)
+	}
+	p1, _ := mgr.Profile("s1")
+	p2, _ := mgr.Profile("s2")
+	if p1 != p2 {
+		t.Fatal("sessions over one key track two profile instances after a reload")
+	}
+	viewBytes := uint64(0)
+	for _, pos := range fix.profile.Positions {
+		viewBytes += 8 * uint64(len(pos.PhiGrid))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= viewBytes {
+		t.Errorf("the second open allocated %d B, at least a view's %d B of grids", got, viewBytes)
+	}
+
+	items := fix.streams["driver-a"]
+	for _, id := range []string{"s1", "s2"} {
+		for _, it := range items {
+			it.Session = id
+			mgr.Push(it)
+		}
+	}
+	want, got := col.got["s1"], col.got["s2"]
+	if len(want) < 100 || len(got) != len(want) {
+		t.Fatalf("estimates: s1 %d, s2 %d", len(want), len(got))
+	}
+	for k := range want {
+		w, g := want[k], got[k]
+		if math.Float64bits(g.Time) != math.Float64bits(w.Time) ||
+			math.Float64bits(g.Yaw) != math.Float64bits(w.Yaw) ||
+			math.Float64bits(g.MatchDist) != math.Float64bits(w.MatchDist) ||
+			g.Source != w.Source || g.Position != w.Position {
+			t.Fatalf("estimate %d = %+v, want %+v", k, g, w)
 		}
 	}
 }

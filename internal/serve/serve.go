@@ -133,10 +133,10 @@ type Config struct {
 	// CloseSession — the write-behind journal a crashed receiver
 	// recovers warm-restart state from (journal.Recover). Appends are
 	// non-blocking by the journal's contract: a slow disk sheds
-	// records (counted in JournalDropped), never stalls a worker. The
-	// manager does not own the writer — the caller closes it after
-	// CloseDrain, which is what flushes the tail batch and writes the
-	// clean-shutdown trailer.
+	// records (counted in JournalDropped), never stalls a worker.
+	// Flush, and so CloseDrain, commits the tail batch. The manager
+	// does not own the writer — the caller closes it after CloseDrain,
+	// which writes the clean-shutdown trailer.
 	Journal *journal.Writer
 
 	// RecycleFrames transfers ownership of every pushed KindFrame
@@ -620,8 +620,9 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 // keys are a lock-and-probe, and every session for one key references
 // the same immutable profile instance and the match view core builds
 // for it — a fleet holding one profile per driver, not per session.
-// A key evicted and reloaded while sessions are open yields a second
-// instance with a view of its own. Requires Config.Profiles.
+// That holds across evictions too: a key reloaded while sessions still
+// track its old instance re-adopts that instance if the content is
+// unchanged. Requires Config.Profiles.
 func (m *Manager) OpenByKey(id, key string, cfg core.PipelineConfig) error {
 	if id == "" {
 		return ErrNoSessionID
@@ -1113,18 +1114,23 @@ func (m *Manager) process(sh *shard, s *session, it Item) {
 
 // Flush blocks until every shard queue is empty and every worker is
 // idle — every item pushed before the call has been fully processed
-// (assuming no concurrent pushers keep the queues fed). No-op in
-// deterministic mode.
+// (assuming no concurrent pushers keep the queues fed) — and then
+// until Config.Journal has written every record those items made
+// (journal.Writer.Commit: a write failure stays for the journal's
+// owner to read from its Flush or Close). Deterministic mode, which
+// processes each item inside Push, only commits the journal.
 func (m *Manager) Flush() {
-	if m.cfg.Deterministic {
-		return
-	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for (sh.count > 0 || sh.busy) && !sh.closed {
-			sh.cond.Wait()
+	if !m.cfg.Deterministic {
+		for _, sh := range m.shards {
+			sh.mu.Lock()
+			for (sh.count > 0 || sh.busy) && !sh.closed {
+				sh.cond.Wait()
+			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
+	}
+	if m.cfg.Journal != nil {
+		m.cfg.Journal.Commit()
 	}
 }
 
