@@ -85,8 +85,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSubsequenceEquivalence -fuzztime=10s ./internal/dtw
 	$(GO) test -fuzz=FuzzPhasorCache -fuzztime=10s ./internal/rf
 
-# Profile-store benchmark: cold disk load, zero-allocation hot hit,
-# a 64-goroutine contention run (DESIGN.md §10), and three churn
-# traces replayed against one LRU store (DESIGN.md §15).
+# Profile-store timings: go test -bench prints the cold disk load,
+# the zero-allocation hot hit and the 64-goroutine contention run
+# (DESIGN.md §10), five runs each; then three churn traces replayed
+# against one LRU store are written to BENCH_profilestore.json
+# (DESIGN.md §15).
 bench-profilestore:
+	$(GO) test -run '^$$' -bench BenchmarkStore -benchmem -count 5 ./internal/profilestore
 	$(GO) run ./cmd/vihot-bench -profilejson BENCH_profilestore.json

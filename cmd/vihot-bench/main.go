@@ -12,8 +12,11 @@
 // 60 s test runs per condition) and takes several minutes; -quick
 // scales everything down ≈4× for a fast sanity pass. -scenarios
 // replays a weighted scenario mix and reports per-scenario accuracy;
-// -profilejson measures the profile store's load, hit and contention
-// paths and replays its LRU churn traces.
+// -profilejson replays the profile store's LRU churn traces; its load,
+// hit and contention timings are go test -bench BenchmarkStore in
+// internal/profilestore. An -only ID that names no figure, an
+// extension ID without -ext, a negative or non-finite -runtime or
+// -estimate and a negative -repeats are refused before anything runs.
 // Serving latency, CPU and allocation per frame, and the cost of the
 // journal and the observability layer are measured open loop by the
 // fleet benchmark (fleetbench/README.md), not here.
@@ -23,6 +26,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -42,7 +46,7 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's series to <dir>/<figID>.csv")
 	list := flag.Bool("list", false, "list figure IDs and exit")
 	estimate := flag.Float64("estimate", 0, "tracker estimate cadence in seconds (0 = config default)")
-	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, LRU churn traces) and write JSON to this path (skips the figure benches)")
+	profileJSON := flag.String("profilejson", "", "replay the profile store's LRU churn traces and write JSON to this path (skips the figure benches)")
 	scenarios := flag.String("scenarios", "", "replay a weighted scenario mix through the session manager: \"all\" or \"name:weight,...\" (skips the figure benches)")
 	scenarioSessions := flag.Int("scenario-sessions", 8, "total session count for -scenarios, apportioned across the mix by weight")
 	scenarioSeconds := flag.Float64("scenario-seconds", 0, "override every -scenarios scenario's duration (0 = corpus defaults)")
@@ -78,6 +82,11 @@ func main() {
 		return
 	}
 
+	gens, err := figurePlan(*only, *ext, *runtime, *estimate, *repeats)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	opt := experiment.DefaultOptions()
 	if *quick {
 		opt = experiment.Quick()
@@ -95,25 +104,11 @@ func main() {
 		opt.EstimateEveryS = *estimate
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-
 	fmt.Printf("ViHOT evaluation reproduction (seed %d, %s mode)\n\n",
 		*seed, map[bool]string{true: "quick", false: "full"}[*quick])
 
 	start := time.Now()
-	gens := experiment.Generators()
-	if *ext {
-		gens = append(gens, experiment.ExtensionGenerators()...)
-	}
 	for _, g := range gens {
-		if len(want) > 0 && !want[g.ID] {
-			continue
-		}
 		r, err := g.Run(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", g.ID, err)
@@ -128,6 +123,55 @@ func main() {
 		}
 	}
 	fmt.Printf("done in %.0f s\n", time.Since(start).Seconds())
+}
+
+// figurePlan picks the figure generators to run, in paper order. It
+// refuses, before any work runs, what would otherwise run nothing or
+// quietly fall back to a default: an -only ID that names no figure, an
+// extension ID without -ext, a negative or non-finite -runtime or
+// -estimate (0 keeps the default), and a negative -repeats.
+func figurePlan(only string, ext bool, runtimeS, estimateS float64, repeats int) ([]experiment.Generator, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-runtime", runtimeS}, {"-estimate", estimateS}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return nil, fmt.Errorf("%s must be a finite number of seconds ≥ 0 (0 keeps the default), got %v", f.name, f.v)
+		}
+	}
+	if repeats < 0 {
+		return nil, fmt.Errorf("-repeats must be ≥ 0 (0 keeps the default), got %d", repeats)
+	}
+	gens := experiment.Generators()
+	extGens := experiment.ExtensionGenerators()
+	if ext {
+		gens = append(gens, extGens...)
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			want[id] = true
+		}
+	}
+	if len(want) == 0 {
+		return gens, nil
+	}
+	var picked []experiment.Generator
+	for _, g := range gens {
+		if want[g.ID] {
+			picked = append(picked, g)
+			delete(want, g.ID)
+		}
+	}
+	for _, g := range extGens {
+		if want[g.ID] {
+			return nil, fmt.Errorf("-only %s: an extension experiment, requires -ext", g.ID)
+		}
+	}
+	for id := range want {
+		return nil, fmt.Errorf("-only %s: no such figure (see -list)", id)
+	}
+	return picked, nil
 }
 
 // writeCSV dumps a figure's series as rows of (series, x, y) for

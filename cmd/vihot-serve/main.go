@@ -515,26 +515,17 @@ func run(drivers, shards int, seconds float64, queue int, seed int64, sessionTTL
 			c.out, c.flush = fs, fs.Flush
 		}
 		if store == nil {
-			if err := mgr.Open(c.id, profiles[pl.prof], core.DefaultPipelineConfig()); err != nil {
-				return err
-			}
+			err = mgr.Open(c.id, profiles[pl.prof], core.DefaultPipelineConfig())
+		} else {
+			// Cars sharing a driver style (or mix scenario) share one
+			// cached immutable profile instance: one loader call per
+			// distinct style, not per car.
+			err = mgr.OpenByKey(c.id, profNames[pl.prof], core.DefaultPipelineConfig())
+		}
+		if err != nil {
+			return fmt.Errorf("opening car %d: %w", i, err)
 		}
 		cars[i] = c
-	}
-	if store != nil {
-		// Resolve through the store as one fleet batch: cars sharing a
-		// driver style (or mix scenario) share one cached immutable
-		// profile instance, and the whole fleet costs one loader call
-		// per distinct style, not per car.
-		opens := make([]serve.KeyedOpen, len(plans))
-		for i, pl := range plans {
-			opens[i] = serve.KeyedOpen{ID: cars[i].id, Key: profNames[pl.prof]}
-		}
-		for i, err := range mgr.OpenSessionsByKey(opens, core.DefaultPipelineConfig()) {
-			if err != nil {
-				return fmt.Errorf("opening car %d: %w", i, err)
-			}
-		}
 	}
 
 	// Receiver loop: demultiplex datagrams by source address into the

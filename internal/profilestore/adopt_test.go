@@ -93,15 +93,8 @@ func TestReloadAdoptsLiveInstance(t *testing.T) {
 	s := New(Config{Shards: 1, Capacity: 1, Loader: cl})
 	held := mustGet(t, s, "a")
 	mustGet(t, s, "b") // capacity 1: evicts "a"
-	p, fp, err := s.Resolve("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != held {
+	if p := mustGet(t, s, "a"); p != held {
 		t.Error("reload of an evicted, still-held key returned a second instance")
-	}
-	if fp != held.Fingerprint() {
-		t.Errorf("fingerprint %016x, want %016x", fp, held.Fingerprint())
 	}
 	if got := cl.calls.Load(); got != 3 {
 		t.Errorf("loader calls = %d, want 3: every miss still loads", got)
@@ -111,32 +104,6 @@ func TestReloadAdoptsLiveInstance(t *testing.T) {
 	}
 	if again := mustGet(t, s, "a"); again != held {
 		t.Error("the adopted instance is not the cached one")
-	}
-}
-
-// TestGetManyAdoptsLiveInstances: a batch reload of evicted keys
-// re-adopts every held instance, duplicates included.
-func TestGetManyAdoptsLiveInstances(t *testing.T) {
-	cl := newCloneLoader(t, "a", "b", "c", "d")
-	s := New(Config{Shards: 1, Capacity: 2, Loader: cl})
-	held, errs := s.GetMany([]string{"a", "b"})
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatal(errs)
-	}
-	if _, errs := s.GetMany([]string{"c", "d"}); errs[0] != nil || errs[1] != nil {
-		t.Fatal(errs)
-	}
-	ps, errs := s.GetMany([]string{"a", "b", "a"})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("key %d: %v", i, err)
-		}
-	}
-	if ps[0] != held[0] || ps[1] != held[1] || ps[2] != held[0] {
-		t.Error("batch reload of held keys returned new instances")
-	}
-	if got := cl.calls.Load(); got != 6 {
-		t.Errorf("loader calls = %d, want 6", got)
 	}
 }
 

@@ -50,9 +50,8 @@
 // keys dedupe loads singleflight-style: the first Get for a key starts
 // the loader, concurrent Gets for the same key park on that flight's
 // done channel, and all of them receive the one loaded instance — N
-// racing opens cost one disk read, never N. GetMany extends the same
-// dedup across a batch: a fleet open of N sessions over M distinct
-// keys performs exactly M loader calls, cold loads overlapping.
+// racing opens cost one disk read, never N, and N opens over M distinct
+// keys perform exactly M loader calls.
 //
 // # Metrics
 //
@@ -124,7 +123,6 @@ type Config struct {
 type entry struct {
 	key        string
 	p          *core.Profile
-	fp         uint64
 	bytes      int64
 	prev, next *entry
 }
@@ -189,7 +187,6 @@ func (l *list) popTail() *entry {
 type flight struct {
 	done        chan struct{}
 	p           *core.Profile
-	fp          uint64
 	err         error
 	invalidated bool
 }
@@ -347,61 +344,36 @@ func profileBytes(p *core.Profile) int64 {
 // concurrent callers for one cold key receive the same instance from
 // one loader invocation.
 func (s *Store) Get(key string) (*core.Profile, error) {
-	p, _, err := s.Resolve(key)
-	return p, err
-}
-
-// Resolve is Get plus the cached content fingerprint, saving the
-// caller the O(grid) recompute when it wants to label a session with
-// the profile generation it tracks against.
-func (s *Store) Resolve(key string) (*core.Profile, uint64, error) {
 	if key == "" {
-		return nil, 0, ErrEmptyKey
+		return nil, ErrEmptyKey
 	}
-	p, fp, f, owned, err := s.acquire(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if f == nil {
-		return p, fp, nil
-	}
-	if owned {
-		s.runLoad(key, f)
-	} else {
-		// Someone else is loading this key: park on their flight.
-		<-f.done
-	}
-	return f.p, f.fp, f.err
-}
-
-// acquire is the shared front half of Resolve and GetMany: under the
-// shard lock it returns a cache hit, or the flight to wait on (owned
-// = this caller must run the load), or the no-loader error.
-func (s *Store) acquire(key string) (*core.Profile, uint64, *flight, bool, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	if e, ok := sh.items[key]; ok {
 		sh.lru.moveToFront(e)
 		// Capture under the lock: a concurrent Put may replace e's
 		// instance the moment we release it.
-		p, fp := e.p, e.fp
+		p := e.p
 		sh.mu.Unlock()
 		s.hits.Add(1)
-		return p, fp, nil, false, nil
+		return p, nil
 	}
 	s.misses.Add(1)
 	if f, ok := sh.inflight[key]; ok {
+		// Someone else is loading this key: park on their flight.
 		sh.mu.Unlock()
-		return nil, 0, f, false, nil
+		<-f.done
+		return f.p, f.err
 	}
 	if s.loader == nil {
 		sh.mu.Unlock()
-		return nil, 0, nil, false, fmt.Errorf("%w (key %q)", ErrNoLoader, key)
+		return nil, fmt.Errorf("%w (key %q)", ErrNoLoader, key)
 	}
 	f := &flight{done: make(chan struct{})}
 	sh.inflight[key] = f
 	sh.mu.Unlock()
-	return nil, 0, f, true, nil
+	s.runLoad(key, f)
+	return f.p, f.err
 }
 
 // runLoad executes the loader for an owned flight and publishes the
@@ -426,16 +398,17 @@ func (s *Store) runLoad(key string, f *flight) {
 		close(f.done)
 		return
 	}
-	f.p, f.fp = p, p.Fingerprint()
+	fp := p.Fingerprint()
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if !f.invalidated {
 		// An Invalidate that raced this load wins: waiters get the
 		// instance, but it is neither adopted, registered nor cached —
 		// the next Get loads fresh.
-		f.p = sh.adoptLocked(key, p, f.fp)
-		s.insertLocked(sh, key, f.p, f.fp)
+		p = sh.adoptLocked(key, p, fp)
+		s.insertLocked(sh, key, p)
 	}
+	f.p = p
 	sh.mu.Unlock()
 	close(f.done)
 }
@@ -457,7 +430,7 @@ func (s *Store) Put(key string, p *core.Profile) error {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	sh.registerLocked(key, p, fp)
-	s.insertLocked(sh, key, p, fp)
+	s.insertLocked(sh, key, p)
 	sh.mu.Unlock()
 	return nil
 }
@@ -465,15 +438,15 @@ func (s *Store) Put(key string, p *core.Profile) error {
 // insertLocked adds or replaces the entry for key at the front of the
 // recency list and evicts from the tail down to capacity. Caller
 // holds sh.mu.
-func (s *Store) insertLocked(sh *shard, key string, p *core.Profile, fp uint64) {
+func (s *Store) insertLocked(sh *shard, key string, p *core.Profile) {
 	if e, ok := sh.items[key]; ok {
 		s.bytes.Add(float64(-e.bytes))
-		e.p, e.fp, e.bytes = p, fp, profileBytes(p)
+		e.p, e.bytes = p, profileBytes(p)
 		s.bytes.Add(float64(e.bytes))
 		sh.lru.moveToFront(e)
 		return
 	}
-	e := &entry{key: key, p: p, fp: fp, bytes: profileBytes(p)}
+	e := &entry{key: key, p: p, bytes: profileBytes(p)}
 	sh.items[key] = e
 	sh.lru.pushFront(e)
 	s.bytes.Add(float64(e.bytes))

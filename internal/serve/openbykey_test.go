@@ -213,12 +213,11 @@ func TestOpenByKeyWithoutStore(t *testing.T) {
 	}
 }
 
-// TestOpenSessionsByKeyFleet is the batch acceptance test at the
-// serving layer: opening N sessions over M distinct driver styles
-// costs exactly M loader calls, every session of a style tracks the
-// identical profile instance, and per-session failures stay local to
-// their slot.
-func TestOpenSessionsByKeyFleet(t *testing.T) {
+// TestOpenByKeyFleet is the fleet-open acceptance test at the serving
+// layer: N sequential opens over M distinct driver styles cost exactly
+// M loader calls, and every session of a style tracks the instance its
+// key handed out first.
+func TestOpenByKeyFleet(t *testing.T) {
 	fix := getFixture(t)
 	const (
 		fleet    = 48
@@ -228,26 +227,15 @@ func TestOpenSessionsByKeyFleet(t *testing.T) {
 	store := profilestore.New(profilestore.Config{
 		Loader: profilestore.LoaderFunc(func(key string) (*core.Profile, error) {
 			calls.Add(1)
-			time.Sleep(5 * time.Millisecond) // widen overlap between cold loads
-			return fix.profile, nil
+			return fix.profile.Clone(), nil
 		}),
 	})
 	mgr := serve.New(serve.Config{Shards: 4, Profiles: store})
 	defer mgr.Close()
 
-	opens := make([]serve.KeyedOpen, fleet)
-	for i := range opens {
-		opens[i] = serve.KeyedOpen{
-			ID:  sessID(i),
-			Key: "style-" + string(rune('a'+i%distinct)),
-		}
-	}
-	errs := mgr.OpenSessionsByKey(opens, core.DefaultPipelineConfig())
-	if len(errs) != fleet {
-		t.Fatalf("errs length %d, want %d", len(errs), fleet)
-	}
-	for i, err := range errs {
-		if err != nil {
+	for i := 0; i < fleet; i++ {
+		key := "style-" + string(rune('a'+i%distinct))
+		if err := mgr.OpenByKey(sessID(i), key, core.DefaultPipelineConfig()); err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
 	}
@@ -257,21 +245,18 @@ func TestOpenSessionsByKeyFleet(t *testing.T) {
 	if n := mgr.Sessions(); n != fleet {
 		t.Fatalf("sessions = %d, want %d", n, fleet)
 	}
-	ref, ok := mgr.Profile(sessID(0))
-	if !ok {
-		t.Fatal("session 0 missing")
-	}
-	for i := 1; i < fleet; i++ {
-		if p, ok := mgr.Profile(sessID(i)); !ok || p != ref {
-			t.Fatalf("session %d does not share the fleet's profile instance", i)
+	for i := distinct; i < fleet; i++ {
+		p, ok := mgr.Profile(sessID(i))
+		ref, _ := mgr.Profile(sessID(i % distinct))
+		if !ok || p != ref {
+			t.Fatalf("session %d does not share its style's profile instance", i)
 		}
 	}
 }
 
-// TestOpenSessionsByKeyPerOpenErrors: a bad slot (empty ID, broken
-// profile, duplicate session) fails alone; the rest of the batch
-// serves.
-func TestOpenSessionsByKeyPerOpenErrors(t *testing.T) {
+// TestOpenByKeyPerOpenErrors: a bad open (empty ID, broken profile,
+// duplicate session) fails alone; the opens around it serve.
+func TestOpenByKeyPerOpenErrors(t *testing.T) {
 	fix := getFixture(t)
 	boom := errors.New("profile service down")
 	store := profilestore.New(profilestore.Config{
@@ -285,40 +270,23 @@ func TestOpenSessionsByKeyPerOpenErrors(t *testing.T) {
 	mgr := serve.New(serve.Config{Deterministic: true, Profiles: store})
 	defer mgr.Close()
 
-	opens := []serve.KeyedOpen{
-		{ID: "s1", Key: "good"},
-		{ID: "", Key: "good"},
-		{ID: "s2", Key: "bad"},
-		{ID: "s1", Key: "good"}, // duplicate session ID
-		{ID: "s3", Key: "good"},
-	}
-	errs := mgr.OpenSessionsByKey(opens, core.DefaultPipelineConfig())
-	if errs[0] != nil {
-		t.Errorf("slot 0: %v", errs[0])
-	}
-	if !errors.Is(errs[1], serve.ErrNoSessionID) {
-		t.Errorf("slot 1 err = %v, want ErrNoSessionID", errs[1])
-	}
-	if !errors.Is(errs[2], boom) {
-		t.Errorf("slot 2 err = %v, want the loader's error", errs[2])
-	}
-	if !errors.Is(errs[3], serve.ErrDuplicateID) {
-		t.Errorf("slot 3 err = %v, want ErrDuplicateID", errs[3])
-	}
-	if errs[4] != nil {
-		t.Errorf("slot 4: %v", errs[4])
+	for _, tc := range []struct {
+		id, key string
+		want    error
+	}{
+		{"s1", "good", nil},
+		{"", "good", serve.ErrNoSessionID},
+		{"s2", "bad", boom},
+		{"s1", "good", serve.ErrDuplicateID},
+		{"s3", "good", nil},
+	} {
+		err := mgr.OpenByKey(tc.id, tc.key, core.DefaultPipelineConfig())
+		if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("open %q by %q: err = %v, want %v", tc.id, tc.key, err, tc.want)
+		}
 	}
 	if n := mgr.Sessions(); n != 2 {
 		t.Errorf("sessions = %d, want 2 (s1, s3)", n)
-	}
-
-	// No store at all: every slot reports ErrNoProfileStore.
-	bare := serve.New(serve.Config{Deterministic: true})
-	defer bare.Close()
-	for i, err := range bare.OpenSessionsByKey(opens[:2], core.DefaultPipelineConfig()) {
-		if !errors.Is(err, serve.ErrNoProfileStore) {
-			t.Errorf("bare slot %d err = %v, want ErrNoProfileStore", i, err)
-		}
 	}
 }
 

@@ -45,11 +45,10 @@ func (m *Manager) afterProcess(sh *shard, s *session) {
 }
 
 // sweep evicts every session idle past the TTL at the current shard
-// stream time. Registry mutation and bookkeeping happen under sh.mu
-// (manager bookkeeping nested inside, same lock order as Open); the
-// KindReap events are published after both locks drop, in sorted
-// session order so replays observe identical event sequences
-// regardless of map iteration order.
+// stream time. Registry mutation and the gauge update happen under
+// sh.mu, as in Open; the KindReap events are published after the lock
+// drops, in sorted session order so replays observe identical event
+// sequences regardless of map iteration order.
 func (m *Manager) sweep(sh *shard, ttl float64) {
 	now := sh.clock
 	sh.nextSweep = now + ttl/4
@@ -77,9 +76,6 @@ func (m *Manager) sweep(sh *shard, ttl float64) {
 		delete(sh.sessions, id)
 	}
 	if n := len(evicted); n > 0 {
-		m.mu.Lock()
-		m.nOpen -= n
-		m.mu.Unlock()
 		m.sessOpen.Add(-float64(n))
 	}
 	sh.mu.Unlock()

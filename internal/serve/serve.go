@@ -477,7 +477,6 @@ type Manager struct {
 
 	mu     sync.Mutex
 	closed bool
-	nOpen  int
 }
 
 // New builds a Manager and, unless cfg.Deterministic, starts its
@@ -548,11 +547,10 @@ func (m *Manager) shardFor(id string) *shard {
 // Counters exposes the traffic counters.
 func (m *Manager) Counters() *Counters { return &m.counters }
 
-// Sessions returns the number of open sessions.
+// Sessions returns the number of open sessions: the
+// vihot_serve_sessions_open gauge.
 func (m *Manager) Sessions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.nOpen
+	return int(m.sessOpen.Value())
 }
 
 // Open creates a tracking session over a caller-supplied driver
@@ -602,13 +600,9 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 		})
 	}
 	sh.sessions[id] = s
-	// Bookkeeping nests inside sh.mu (lock order: shard before
-	// manager, never the reverse) so the count and gauge move
-	// atomically with the registration — Close's purge can therefore
-	// never observe the session without its count, or vice versa.
-	m.mu.Lock()
-	m.nOpen++
-	m.mu.Unlock()
+	// The gauge moves inside sh.mu, atomically with the registration —
+	// Close's purge can therefore never observe the session without
+	// its count, or vice versa.
 	m.sessOpen.Add(1)
 	sh.mu.Unlock()
 	return nil
@@ -637,53 +631,6 @@ func (m *Manager) OpenByKey(id, key string, cfg core.PipelineConfig) error {
 	return m.Open(id, p, cfg)
 }
 
-// KeyedOpen names one session of a batch open: the session ID and the
-// profile key it tracks against.
-type KeyedOpen struct {
-	ID  string // session ID
-	Key string // profile key (driver/cabin ID)
-}
-
-// OpenSessionsByKey opens a fleet of sessions in one call: every
-// distinct profile key resolves through a single Profiles.GetMany —
-// so N sessions over M driver styles cost exactly M loader calls,
-// cold loads overlapping, duplicates shared — and each session then
-// opens over its shared immutable instance. The returned slice aligns
-// with opens: errs[i] is nil when opens[i] is serving. Per-session
-// failures (a broken profile, a duplicate ID) fail that session only.
-// The PR 4 cold-storm guarantee holds across calls too: batches and
-// concurrent OpenByKey storms for one key join one in-flight load.
-// Requires Config.Profiles.
-func (m *Manager) OpenSessionsByKey(opens []KeyedOpen, cfg core.PipelineConfig) []error {
-	errs := make([]error, len(opens))
-	if len(opens) == 0 {
-		return errs
-	}
-	if m.cfg.Profiles == nil {
-		for i := range errs {
-			errs[i] = ErrNoProfileStore
-		}
-		return errs
-	}
-	keys := make([]string, len(opens))
-	for i, o := range opens {
-		keys[i] = o.Key
-	}
-	ps, perrs := m.cfg.Profiles.GetMany(keys)
-	for i, o := range opens {
-		if o.ID == "" {
-			errs[i] = ErrNoSessionID
-			continue
-		}
-		if perrs[i] != nil {
-			errs[i] = fmt.Errorf("serve: open %q by key %q: %w", o.ID, o.Key, perrs[i])
-			continue
-		}
-		errs[i] = m.Open(o.ID, ps[i], cfg)
-	}
-	return errs
-}
-
 // Profile returns the profile instance a session tracks against and
 // whether the session exists. The pointer identifies the shared
 // instance (sessions opened via one store key return the very same
@@ -708,9 +655,6 @@ func (m *Manager) CloseSession(id string) error {
 	s, ok := sh.sessions[id]
 	delete(sh.sessions, id)
 	if ok {
-		m.mu.Lock()
-		m.nOpen--
-		m.mu.Unlock()
 		m.sessOpen.Add(-1)
 	}
 	sh.mu.Unlock()
@@ -1137,8 +1081,8 @@ func (m *Manager) Flush() {
 // Close is the hard stop: intake is rejected (RejectedClosed) from
 // the moment each shard is marked, workers abandon whatever backlog
 // remains (counted in DroppedClosed, pooled frames released, ring
-// slots zeroed) and exit, and every session is purged so nOpen and
-// the sessions-open gauge read zero. Use CloseDrain for a graceful
+// slots zeroed) and exit, and every session is purged so Sessions
+// and the sessions-open gauge read zero. Use CloseDrain for a graceful
 // end that processes the backlog first. Close is idempotent and safe
 // to call concurrently with pushers.
 func (m *Manager) Close() {
@@ -1181,10 +1125,10 @@ func (m *Manager) CloseDrain() {
 }
 
 // purgeSessions empties every shard's registry after the workers have
-// exited, reconciling nOpen and the gauge with the evictions — the
+// exited, reconciling the sessions-open gauge with the evictions — the
 // invariant "closed manager ⇒ sessions_open reads 0" the acceptance
-// tests scrape for. Bookkeeping nests inside sh.mu exactly as in
-// Open, so a racing Open either lands before the purge (and is
+// tests scrape for. The gauge moves inside sh.mu exactly as in Open,
+// so a racing Open either lands before the purge (and is
 // purged, counted both ways) or observes sh.closed and is refused.
 func (m *Manager) purgeSessions() {
 	for _, sh := range m.shards {
@@ -1194,9 +1138,6 @@ func (m *Manager) purgeSessions() {
 			delete(sh.sessions, id)
 		}
 		if n > 0 {
-			m.mu.Lock()
-			m.nOpen -= n
-			m.mu.Unlock()
 			m.sessOpen.Add(-float64(n))
 		}
 		sh.mu.Unlock()

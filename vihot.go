@@ -135,8 +135,7 @@ func LoadProfile(path string) (*Profile, error) { return core.LoadProfile(path) 
 // ProfileStore — a sharded LRU cache with singleflight deduplication
 // of concurrent cold loads, sharing one instance across every session
 // opened for the same driver (SessionManagerConfig.Profiles +
-// SessionManager.OpenByKey / OpenSessionsByKey, ProfileStore.GetMany
-// for batch resolution).
+// SessionManager.OpenByKey).
 type (
 	// ProfileStore resolves profiles by key through a sharded cache
 	// with singleflight load deduplication.
@@ -152,9 +151,6 @@ type (
 	ProfileStoreStats = profilestore.Stats
 	// ProfileDirLoader loads <dir>/<key>.profile files.
 	ProfileDirLoader = profilestore.DirLoader
-	// KeyedOpen names one session of a batch open: its session ID and
-	// profile key (SessionManager.OpenSessionsByKey).
-	KeyedOpen = serve.KeyedOpen
 )
 
 // NewProfileStore builds a profile store; see ProfileStoreConfig.
